@@ -49,6 +49,8 @@ replay-smoke:
 # Run one workload under every registered detector, driven by the
 # registry itself (`racedetect detectors --names`) so a detector added
 # to the registry cannot be silently skipped by a stale hard-coded list.
+# Detectors with the `parallel` capability also run on 2 domains, which
+# puts the compare-and-set access history on real concurrency.
 detector-smoke:
 	dune build bin/racedetect.exe
 	@set -e; \
@@ -62,7 +64,15 @@ detector-smoke:
 	  dune exec bin/racedetect.exe -- run -w mm -s tiny -d $$d; \
 	  n=$$((n + 1)); \
 	done; \
-	echo "detector-smoke: $$n registered detectors ran mm/tiny clean"
+	par=$$(dune exec bin/racedetect.exe -- detectors | awk '$$2 ~ /(^|,)parallel(,|$$)/ { print $$1 }'); \
+	p=0; \
+	for d in $$par; do \
+	  echo "== $$d -e parallel -j 2 =="; \
+	  dune exec bin/racedetect.exe -- run -w mm -s tiny -d $$d -e parallel -j 2; \
+	  p=$$((p + 1)); \
+	done; \
+	test $$p -gt 0 || { echo "detector-smoke: no parallel detector registered" >&2; exit 2; }; \
+	echo "detector-smoke: $$n registered detectors ran mm/tiny clean, $$p of them on 2 domains"
 
 # The OM backend seam end to end: the list-vs-depa differential suite,
 # then a 2-domain depa scaling run perfdiffed (report-only — the depa

@@ -7,10 +7,9 @@
      motivation        futures-vs-fork-join Smith-Waterman span comparison
      complexity        O(k^2) reachability-construction validation (Lemma 3.12)
      sweep             simulated scalability curves
-     ablation-locks    access-history locking cost (paper section 4)
+     ablation-locks    access-history synchronization cost (paper section 4)
      ablation-sets     bitmap vs hash-table gp/cp backends
      ablation-readers  keep-all vs 2-per-future reader policies
-     ablation-history  mutex vs lock-free vs unsynchronized access history
      eventlog          record-only overhead vs live detection; shard scaling
      scaling           measured multicore runs per domain count -> schema-v2 JSON
      profile           dump per-configuration snapshots as schema-v2 JSON
@@ -529,7 +528,7 @@ let soak ~seeds ~workers =
 let usage () =
   prerr_endline
     "usage: main.exe [fig3|fig4|fig5|sweep|ablation-locks|ablation-sets|\n\
-    \                 ablation-readers|ablation-history|scaling|profile|\n\
+    \                 ablation-readers|scaling|profile|\n\
     \                 prof-overhead|micro|eventlog|serve|soak|all]\n\
     \                [--scale tiny|small|default|large|paper] [--repeats N]\n\
     \                [--workers P] [--seeds N] [--domains N,N,...]\n\
@@ -642,7 +641,6 @@ let () =
     | "ablation-locks" -> Figures.ablation_locks ~scale ~repeats
     | "ablation-sets" -> Figures.ablation_sets ~scale ~repeats
     | "ablation-readers" -> Figures.ablation_readers ~scale ~repeats
-    | "ablation-history" -> Figures.ablation_history ~scale ~repeats
     | "profile" -> (
         try
           Figures.profile ~om_backends:!om_backends ~scale ~repeats
@@ -676,7 +674,7 @@ let () =
             print_newline ())
           [ "fig3"; "fig4"; "fig5"; "motivation"; "complexity"; "sweep";
             "ablation-locks"; "ablation-sets"; "ablation-readers";
-            "ablation-history"; "eventlog"; "micro"; "prof-overhead" ]
+            "eventlog"; "micro"; "prof-overhead" ]
     | _ -> usage ()
   in
   (match !trace_out with Some _ -> Sfr_obs.Trace_event.start () | None -> ());

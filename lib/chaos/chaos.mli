@@ -31,7 +31,7 @@ type site =
   | Get  (** a get/touch event is being processed *)
   | Sync  (** a sync/join event is being processed *)
   | Steal  (** a worker stole a task (perturb-only site) *)
-  | Lock_acquire  (** an access-history stripe lock / CAS publication *)
+  | Lock_acquire  (** an access-history record publication (CAS) *)
   | Relabel  (** an OM relabel window is open (perturb-only site) *)
   | Task  (** a scheduled task is about to run *)
   | Record  (** an event-log structural record is being appended *)

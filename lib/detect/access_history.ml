@@ -3,14 +3,13 @@ module Prof = Sfr_obs.Prof
 module Chaos = Sfr_chaos.Chaos
 
 (* Observability: the paper's conclusion flags access-history
-   synchronization as the dominant full-detection cost; these counters
-   let the ablations see lock contention and reader-set churn directly.
-   The prof timers cover the whole read-insert / write-evict critical
-   path (lock wait, race checks, reader churn) per access.
-   [history.write.fastpath] counts writes absorbed by the last-writer
-   filter — the accesses that never touched a lock or an atomic. *)
-let m_lock_acquire = Metrics.counter "history.lock.acquire"
-let m_lock_contended = Metrics.counter "history.lock.contended"
+   synchronization as the dominant full-detection cost. [history.cas.retry]
+   counts publications that lost a race and re-read the cell;
+   [history.write.fastpath] counts writes by the installed writer that
+   swapped nothing; [history.readers.insert] counts reader slots stored
+   by reads, and [history.readers.evict] slots a read replaced (under
+   [Lr_per_future]) or a write dropped. The prof timers cover a whole access
+   (lookup, swap, race checks). *)
 let m_cas_retry = Metrics.counter "history.cas.retry"
 let m_readers_insert = Metrics.counter "history.readers.insert"
 let m_readers_evict = Metrics.counter "history.readers.evict"
@@ -27,134 +26,145 @@ type 'a policy =
       covers : 'a -> 'a -> bool;
     }
 
-type sync_mode = [ `Mutex | `Unsynchronized | `Lockfree ]
+type sync_mode = [ `Cas | `Unsynchronized ]
 
-(* Fibonacci multiplicative mixing for stripe / write-cache selection.
-   Raw low bits ([loc land (stripes-1)]) alias every strided access
-   pattern whose stride shares a factor with the stripe count — a
-   power-of-two matrix row maps an entire column onto ONE stripe and
-   serializes all domains on its lock. Multiplying by the golden-ratio
-   constant diffuses every input bit into the high bits, which the
-   selector then takes. OCaml ints are 63-bit, so we use the 64-bit
-   constant 0x9E37_79B9_7F4A_7C15 reduced mod 2^63 (multiplication only
-   ever sees residues mod 2^63 anyway): 0x1E37_79B9_7F4A_7C15. *)
-let fib_mix = 0x1E37_79B9_7F4A_7C15
+module Int_map = Map.Make (Int)
 
-let mix_bits loc shift = (loc * fib_mix) lsr (Sys.int_size - shift)
+(* One location's state. Records are immutable and freshly allocated for
+   every change, so a cell's compare-and-set on physical equality cannot
+   suffer ABA. [n] is the reader count: list length under [All], two per
+   stored future under [Lr]. *)
+type 'a record =
+  | All of { writer : 'a option; readers : 'a list; n : int }
+      (** [Keep_all]: every reader since the last write, newest first *)
+  | Lr of { writer : 'a option; pairs : ('a * 'a) Int_map.t; n : int }
+      (** [Lr_per_future]: future id -> (leftmost, rightmost) reader *)
 
-(* -- striped (mutex / unsynchronized) representation ------------------- *)
+let writer_of = function All r -> r.writer | Lr r -> r.writer
+let nreaders = function All r -> r.n | Lr r -> r.n
 
-(* Reader storage, per cell:
-   - [R_list]: the original cons-per-reader list (compat path; also what
-     [`Lockfree] uses, as a Treiber stack).
-   - [R_inline]: first [inline_cap] readers in a mutable array reused
-     across write epochs — the common case allocates nothing per read —
-     spilling to a list only past that. Iteration order (spill newest
-     first, then slots newest first) reproduces the list order exactly,
-     so first-race attribution is byte-identical to the compat path.
-   - [R_lr]: leftmost/rightmost per future (the 2k-bound policy). *)
-let inline_cap = 8
+(* The directory: pages of [page_size] cells, page [p] covering locations
+   [p * page_size ..]. A dense spine covers a window of page numbers:
+   [pages.(i)] holds page [base + i], or [[||]] until some access
+   installs it. A page outside the window goes to the [sparse] map
+   instead when covering it would stretch the window past [spine_slack]
+   slots per installed page, so two far-apart locations cost two pages,
+   not the span between them. A grown spine reuses the old spine's
+   slots and adopts the sparse pages it now covers, so a page installed
+   through a stale spine is visible through the new one, and cells never
+   move. *)
+let page_bits = 9
+let page_size = 1 lsl page_bits
 
-type 'a readers =
-  | R_list of 'a list
-  | R_inline of 'a inline
-  | R_lr of (int, 'a * 'a) Hashtbl.t (* future id -> (leftmost, rightmost) *)
+(* A spine slot costs three words, a page [1 + 3 * page_size]: at 64
+   slots per installed page the spine stays within an eighth of the
+   pages' words. *)
+let spine_slack = 64
 
-and 'a inline = {
-  mutable slots : 'a array; (* [||] until the first reader arrives *)
-  mutable n : int; (* live prefix of [slots] *)
-  mutable spill : 'a list; (* readers past [inline_cap], newest first *)
-}
-
-type 'a cell = {
-  mutable writer : 'a option;
-  mutable readers : 'a readers;
-  mutable nreaders : int;
-}
-
-type 'a stripe = { mu : Mutex.t; cells : (int, 'a cell) Hashtbl.t }
-
-(* -- lock-free representation ------------------------------------------ *)
-
-(* Locations are dense within a run (Program.alloc hands out consecutive
-   IDs) but need not start near zero (the allocator's counter is global to
-   the process), so the lock-free variant indexes an offset window of
-   cells: cell for location l lives at cells.(l - base). The window grows
-   in either direction by copy-on-write snapshots (cell refs are shared
-   between snapshots, so a reader holding a stale snapshot still reaches
-   the right cell). *)
-type 'a lf_cell = {
-  lf_writer : 'a option Atomic.t;
-  lf_readers : 'a list Atomic.t;
-  lf_count : int Atomic.t; (* approximate reader count *)
-}
-
-type 'a lf_window = { base : int; cells : 'a lf_cell option array }
-
-type 'a lf_table = {
-  snapshot : 'a lf_window option Atomic.t;
-  grow_mu : Mutex.t;
-}
-
-type 'a repr =
-  | Striped of 'a stripe array * bool (* use locks? *)
-  | Lf of 'a lf_table
-
-(* Last-writer filter: a direct-mapped cache of (location, accessor)
-   pairs, one immutable pair record per slot so a racy read can never
-   observe a torn pair. A hit means "this strand installed itself as
-   [loc]'s writer and no later access to [loc] has gone through the
-   history", so the write can skip the whole lock/evict/install cycle —
-   the race check against the previous writer (itself) still runs, to
-   keep the query count identical to the slow path. Any read or foreign
-   write to [loc] invalidates the slot (a plain store; the benign-race
-   argument is in the .mli). *)
-type 'a wentry = { w_loc : int; w_acc : 'a }
-
-let wcache_bits = 11
-let wcache_size = 1 lsl wcache_bits
+type 'a page = 'a record Atomic.t array
+type 'a spine = { base : int; pages : 'a page Atomic.t array }
 
 type 'a t = {
   policy : 'a policy;
-  repr : 'a repr;
+  sync : bool;
+  empty : 'a record; (* every cell's initial record; never re-installed *)
+  spine : 'a spine Atomic.t;
+  sparse : 'a page Int_map.t Atomic.t; (* replaced only under [grow_mu] *)
+  npages : int Atomic.t; (* pages installed, in the spine or sparse *)
+  grow_mu : Mutex.t;
   max_readers : int Atomic.t;
-  fast : bool;
-  stripe_log : int; (* log2 (Array.length stripes), for mixed selection *)
-  wcache : 'a wentry option array; (* [||] when the filter is disabled *)
 }
 
-let create ?(stripes = 64) ?(sync = `Mutex) ?(fast = true) policy =
-  let repr =
-    match sync with
-    | (`Mutex | `Unsynchronized) as s ->
-        (* stripe selection masks the location: round up to a power of 2 *)
-        let rec pow2 n = if n >= stripes then n else pow2 (2 * n) in
-        let stripes = pow2 1 in
-        Striped
-          ( Array.init stripes (fun _ ->
-                { mu = Mutex.create (); cells = Hashtbl.create 64 }),
-            s = `Mutex )
-    | `Lockfree -> (
-        match policy with
-        | Keep_all ->
-            Lf { snapshot = Atomic.make None; grow_mu = Mutex.create () }
-        | Lr_per_future _ ->
-            Detect_error.unsupported ~detector:"Access_history"
-              ~feature:"`Lockfree with Lr_per_future (requires Keep_all)")
+let create ?(sync = `Cas) policy =
+  let empty =
+    match policy with
+    | Keep_all -> All { writer = None; readers = []; n = 0 }
+    | Lr_per_future _ -> Lr { writer = None; pairs = Int_map.empty; n = 0 }
   in
-  let stripe_log =
-    match repr with
-    | Striped (ss, _) ->
-        let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
-        log2 (Array.length ss)
-    | Lf _ -> 0
-  in
-  let wcache =
-    match repr with
-    | Striped _ when fast -> Array.make wcache_size None
-    | Striped _ | Lf _ -> [||]
-  in
-  { policy; repr; max_readers = Atomic.make 0; fast; stripe_log; wcache }
+  {
+    policy;
+    sync = sync = `Cas;
+    empty;
+    spine = Atomic.make { base = 0; pages = [||] };
+    sparse = Atomic.make Int_map.empty;
+    npages = Atomic.make 0;
+    grow_mu = Mutex.create ();
+    max_readers = Atomic.make 0;
+  }
+
+(* Publish [next] over [prev]. [`Unsynchronized] is the serial lower
+   bound: the same records, stored without a compare. *)
+let publish t cell prev next =
+  if t.sync then Atomic.compare_and_set cell prev next
+  else begin
+    Atomic.set cell next;
+    true
+  end
+
+let new_page t = Array.init page_size (fun _ -> Atomic.make t.empty)
+
+(* Make page [p] reachable. Inside the slack bound the spine extends
+   over [p], at least doubling, so a monotone sweep costs O(log pages)
+   copies; past it [p] gets a sparse page. The new spine is published
+   before the sparse pages it adopts are dropped, so a lookup that misses
+   both ends here, under the mutex, and finds [p] covered. *)
+let grow t p =
+  Mutex.protect t.grow_mu (fun () ->
+      let s = Atomic.get t.spine and sparse = Atomic.get t.sparse in
+      let len = Array.length s.pages in
+      if (p >= s.base && p < s.base + len) || Int_map.mem p sparse then ()
+      else if len = 0 then Atomic.set t.spine { base = p; pages = [| Atomic.make [||] |] }
+      else begin
+        let lo = min p s.base and hi = max (p + 1) (s.base + len) in
+        let cap = spine_slack * (Atomic.get t.npages + 1) in
+        if hi - lo > cap then begin
+          Atomic.set t.sparse (Int_map.add p (new_page t) sparse);
+          Atomic.incr t.npages
+        end
+        else begin
+          let n = max (hi - lo) (min (2 * len) cap) in
+          let base = if p < s.base then hi - n else lo in
+          let pages =
+            Array.init n (fun i ->
+                let j = base + i - s.base in
+                if j >= 0 && j < len then s.pages.(j)
+                else
+                  Atomic.make
+                    (match Int_map.find_opt (base + i) sparse with
+                    | Some page -> page
+                    | None -> [||]))
+          in
+          Atomic.set t.spine { base; pages };
+          Atomic.set t.sparse (Int_map.filter (fun q _ -> q < base || q >= base + n) sparse)
+        end
+      end)
+
+let rec cell t loc =
+  let p = loc asr page_bits in
+  let s = Atomic.get t.spine in
+  let i = p - s.base in
+  if i >= 0 && i < Array.length s.pages then begin
+    let slot = s.pages.(i) in
+    let page = Atomic.get slot in
+    let page =
+      if Array.length page > 0 then page
+      else begin
+        let fresh = new_page t in
+        if publish t slot page fresh then begin
+          Atomic.incr t.npages;
+          fresh
+        end
+        else Atomic.get slot
+      end
+    in
+    page.(loc land (page_size - 1))
+  end
+  else
+    match Int_map.find_opt p (Atomic.get t.sparse) with
+    | Some page -> page.(loc land (page_size - 1))
+    | None ->
+        grow t p;
+        cell t loc
 
 let note_high_water t n =
   let rec loop () =
@@ -163,346 +173,130 @@ let note_high_water t n =
   in
   loop ()
 
-(* -- striped paths ------------------------------------------------------ *)
+(* What a read by [a] does to record [r]: [Same] when the record it
+   leaves behind would equal [r] (a repeat read by the head reader, or an
+   [Lr] read that moves neither extreme), else the new record and the
+   number of stored reader slots it replaces. *)
+type 'a step = Same | Next of 'a record * int
 
-let empty_readers t =
-  match t.policy with
-  | Keep_all ->
-      if t.fast then R_inline { slots = [||]; n = 0; spill = [] } else R_list []
-  | Lr_per_future _ -> R_lr (Hashtbl.create 4)
-
-let inline_last r =
-  match r.spill with
-  | x :: _ -> Some x
-  | [] -> if r.n > 0 then Some r.slots.(r.n - 1) else None
-
-let inline_push r accessor =
-  if r.n < Array.length r.slots then begin
-    r.slots.(r.n) <- accessor;
-    r.n <- r.n + 1
-  end
-  else if Array.length r.slots = 0 then begin
-    (* first reader ever at this cell: the reader itself seeds the array,
-       so no dummy element is needed and later inserts allocate nothing *)
-    r.slots <- Array.make inline_cap accessor;
-    r.n <- 1
-  end
-  else r.spill <- accessor :: r.spill
-
-(* newest-first, mirroring the cons-list order of the compat path *)
-let inline_iter_newest_first r f =
-  List.iter f r.spill;
-  for i = r.n - 1 downto 0 do
-    f r.slots.(i)
-  done
-
-let inline_reset r =
-  r.n <- 0;
-  r.spill <- []
-
-let stripe_of t stripes loc =
-  if t.fast then mix_bits loc t.stripe_log
-  else loc land (Array.length stripes - 1)
-
-let with_cell t stripes locking loc f =
-  let stripe = stripes.(stripe_of t stripes loc) in
-  if locking then begin
-    (* perturb-only site: widens the window between an accessor reaching
-       the history and publishing into it *)
-    Chaos.point Chaos.Lock_acquire;
-    Metrics.incr m_lock_acquire;
-    if not (Mutex.try_lock stripe.mu) then begin
-      Metrics.incr m_lock_contended;
-      Mutex.lock stripe.mu
-    end
-  end;
-  let cell =
-    match Hashtbl.find_opt stripe.cells loc with
-    | Some c -> c
-    | None ->
-        let c = { writer = None; readers = empty_readers t; nreaders = 0 } in
-        Hashtbl.add stripe.cells loc c;
-        c
-  in
-  let result = f cell in
-  if locking then Mutex.unlock stripe.mu;
-  result
-
-let wcache_invalidate t loc =
-  if Array.length t.wcache > 0 then
-    t.wcache.(mix_bits loc wcache_bits) <- None
-
-let wcache_store t loc accessor =
-  if Array.length t.wcache > 0 then
-    t.wcache.(mix_bits loc wcache_bits) <- Some { w_loc = loc; w_acc = accessor }
-
-let wcache_hit t loc accessor =
-  Array.length t.wcache > 0
-  &&
-  match t.wcache.(mix_bits loc wcache_bits) with
-  | Some e -> e.w_loc = loc && e.w_acc == accessor
-  | None -> false
-
-let striped_read t stripes locking ~loc ~accessor ~check_writer =
-  wcache_invalidate t loc;
-  with_cell t stripes locking loc (fun cell ->
-      (match cell.writer with Some w -> check_writer w | None -> ());
-      (match (t.policy, cell.readers) with
-      | Keep_all, R_list rs ->
-          (* collapse consecutive reads by the same strand *)
-          let same_strand = match rs with r :: _ -> r == accessor | [] -> false in
-          if not same_strand then begin
-            cell.readers <- R_list (accessor :: rs);
-            cell.nreaders <- cell.nreaders + 1;
-            Metrics.incr m_readers_insert
-          end
-      | Keep_all, R_inline r ->
-          let same_strand =
-            match inline_last r with Some x -> x == accessor | None -> false
+let after_read t r a =
+  match (r, t.policy) with
+  | All { readers = x :: _; _ }, _ when x == a -> Same
+  | All { writer; readers; n }, _ -> Next (All { writer; readers = a :: readers; n = n + 1 }, 0)
+  | Lr { writer; pairs; n }, Lr_per_future { future_of; more_left; more_right; covers } -> (
+      let f = future_of a in
+      match Int_map.find_opt f pairs with
+      | None -> Next (Lr { writer; pairs = Int_map.add f (a, a) pairs; n = n + 2 }, 0)
+      | Some (l, r) ->
+          (* a reader both stored readers precede supersedes them
+             (Mellor-Crummey's replacement rule); otherwise [a] may
+             become the new leftmost or rightmost *)
+          let l', r' =
+            if covers l a && covers r a then (a, a)
+            else ((if more_left a l then a else l), if more_right a r then a else r)
           in
-          if not same_strand then begin
-            inline_push r accessor;
-            cell.nreaders <- cell.nreaders + 1;
-            Metrics.incr m_readers_insert
-          end
-      | Lr_per_future { future_of; more_left; more_right; covers }, R_lr tbl -> (
-          let f = future_of accessor in
-          match Hashtbl.find_opt tbl f with
-          | None ->
-              Hashtbl.add tbl f (accessor, accessor);
-              cell.nreaders <- cell.nreaders + 2;
-              Metrics.add m_readers_insert 2
-          | Some (l, r) ->
-              if covers l accessor && covers r accessor then begin
-                (* both stored readers precede the new one: it supersedes *)
-                Hashtbl.replace tbl f (accessor, accessor);
-                Metrics.add m_readers_evict (if l == r then 1 else 2);
-                Metrics.add m_readers_insert 2
-              end
-              else begin
-                let l' = if more_left accessor l then accessor else l in
-                let r' = if more_right accessor r then accessor else r in
-                if l' != l || r' != r then begin
-                  let changed = (if l' != l then 1 else 0) + if r' != r then 1 else 0 in
-                  Metrics.add m_readers_evict changed;
-                  Metrics.add m_readers_insert changed
-                end;
-                Hashtbl.replace tbl f (l', r')
-              end)
-      | Keep_all, R_lr _ | Lr_per_future _, (R_list _ | R_inline _) ->
-          assert false);
-      note_high_water t cell.nreaders)
+          let replaced = (if l' == l then 0 else 1) + if r' == r then 0 else 1 in
+          if replaced = 0 then Same
+          else Next (Lr { writer; pairs = Int_map.add f (l', r') pairs; n }, replaced))
+  | Lr _, Keep_all -> assert false
 
-let striped_write t stripes locking ~loc ~accessor ~check =
-  if wcache_hit t loc accessor then begin
-    (* consecutive same-strand write: this strand is already the
-       installed writer and no reader registered since — re-installing
-       would evict nothing and change nothing. Run the writer-vs-writer
-       check anyway (it is what the slow path would do, and the query
-       count must not depend on the filter), then skip lock and evict. *)
-    Metrics.incr m_write_fast;
-    check ~prev:accessor ~prev_is_writer:true
-  end
-  else begin
-    with_cell t stripes locking loc (fun cell ->
-        (match cell.writer with
-        | Some w -> check ~prev:w ~prev_is_writer:true
-        | None -> ());
-        (match cell.readers with
-        | R_list rs -> List.iter (fun r -> check ~prev:r ~prev_is_writer:false) rs
-        | R_inline r ->
-            inline_iter_newest_first r (fun x ->
-                check ~prev:x ~prev_is_writer:false);
-            inline_reset r
-        | R_lr tbl ->
-            Hashtbl.iter
-              (fun _ (l, r) ->
-                check ~prev:l ~prev_is_writer:false;
-                if r != l then check ~prev:r ~prev_is_writer:false)
-              tbl);
-        Metrics.add m_readers_evict cell.nreaders;
-        (match cell.readers with
-        | R_inline _ -> () (* reset in place: the slots array is reused *)
-        | R_list _ | R_lr _ -> cell.readers <- empty_readers t);
-        cell.nreaders <- 0;
-        cell.writer <- Some accessor);
-    wcache_store t loc accessor
-  end
-
-(* -- lock-free paths ----------------------------------------------------- *)
-
-let lf_in_window w loc = loc >= w.base && loc - w.base < Array.length w.cells
-
-(* grow (or create) the window to cover [loc]; call with grow_mu held *)
-let lf_grow_locked tbl loc =
-  match Atomic.get tbl.snapshot with
-  | Some w when lf_in_window w loc -> w
-  | Some w ->
-      let old_len = Array.length w.cells in
-      let lo = min w.base (loc land lnot 1023) in
-      let hi = max (w.base + old_len) (loc + 1) in
-      (* at least double, to amortize copies *)
-      let len = max (hi - lo) (2 * old_len) in
-      let cells = Array.make len None in
-      Array.blit w.cells 0 cells (w.base - lo) old_len;
-      let w' = { base = lo; cells } in
-      Atomic.set tbl.snapshot (Some w');
-      w'
-  | None ->
-      let w = { base = loc land lnot 1023; cells = Array.make 2048 None } in
-      Atomic.set tbl.snapshot (Some w);
-      w
-
-let lf_cell_of tbl loc =
-  let w =
-    match Atomic.get tbl.snapshot with
-    | Some w when lf_in_window w loc -> w
-    | Some _ | None ->
-        Mutex.lock tbl.grow_mu;
-        let w = lf_grow_locked tbl loc in
-        Mutex.unlock tbl.grow_mu;
-        w
-  in
-  match w.cells.(loc - w.base) with
-  | Some cell -> cell
-  | None ->
-      (* install a fresh cell; lose the race gracefully *)
-      Mutex.lock tbl.grow_mu;
-      let w = lf_grow_locked tbl loc in
-      let cell =
-        match w.cells.(loc - w.base) with
-        | Some cell -> cell
-        | None ->
-            let cell =
-              {
-                lf_writer = Atomic.make None;
-                lf_readers = Atomic.make [];
-                lf_count = Atomic.make 0;
-              }
-            in
-            w.cells.(loc - w.base) <- Some cell;
-            cell
-      in
-      Mutex.unlock tbl.grow_mu;
-      cell
-
-let lf_read t tbl ~loc ~accessor ~check_writer =
-  let cell = lf_cell_of tbl loc in
-  Chaos.point Chaos.Lock_acquire;
-  (* publish the reader first, then validate against the current writer:
-     a concurrent writer either drains this reader or was installed
-     before our validation read (see the .mli completeness note) *)
-  let rec push () =
-    let rs = Atomic.get cell.lf_readers in
-    let same_strand = match rs with r :: _ -> r == accessor | [] -> false in
-    if not same_strand then
-      if Atomic.compare_and_set cell.lf_readers rs (accessor :: rs) then begin
-        Metrics.incr m_readers_insert;
-        let n = 1 + Atomic.fetch_and_add cell.lf_count 1 in
-        note_high_water t n
+(* Swap in the record a read by [a] leaves behind; returns the record it
+   displaced (or read, when the read changes nothing). *)
+let rec read_swap t c a =
+  let r = Atomic.get c in
+  match after_read t r a with
+  | Same -> r
+  | Next (r', replaced) ->
+      (* perturb-only site: widens the window between reading the
+         record and publishing its successor *)
+      Chaos.point Chaos.Lock_acquire;
+      if publish t c r r' then begin
+        if replaced > 0 then Metrics.add m_readers_evict replaced;
+        Metrics.add m_readers_insert (replaced + nreaders r' - nreaders r);
+        note_high_water t (nreaders r');
+        r
       end
       else begin
         Metrics.incr m_cas_retry;
-        push ()
+        read_swap t c a
       end
-  in
-  push ();
-  match Atomic.get cell.lf_writer with
-  | Some w -> check_writer w
-  | None -> ()
-
-let lf_write t tbl ~loc ~accessor ~check =
-  let cell = lf_cell_of tbl loc in
-  Chaos.point Chaos.Lock_acquire;
-  let same_writer =
-    t.fast
-    && (match Atomic.get cell.lf_writer with
-       | Some w -> w == accessor
-       | None -> false)
-    && Atomic.get cell.lf_readers == []
-  in
-  if same_writer then begin
-    (* last-writer filter, lock-free flavor: skip both exchanges — the
-       reader stack stays untouched, so concurrent readers don't retry
-       their CAS against this write's drain. The writer-vs-writer check
-       still runs (query-count parity with the unfiltered path). *)
-    Metrics.incr m_write_fast;
-    check ~prev:accessor ~prev_is_writer:true
-  end
-  else begin
-    (match Atomic.exchange cell.lf_writer (Some accessor) with
-    | Some w -> check ~prev:w ~prev_is_writer:true
-    | None -> ());
-    let rs = Atomic.exchange cell.lf_readers [] in
-    Atomic.set cell.lf_count 0;
-    Metrics.add m_readers_evict (List.length rs);
-    List.iter (fun r -> check ~prev:r ~prev_is_writer:false) rs
-  end
-
-(* -- dispatch ------------------------------------------------------------ *)
 
 let on_read t ~loc ~accessor ~check_writer =
   let t0 = Prof.start () in
-  (match t.repr with
-  | Striped (stripes, locking) -> striped_read t stripes locking ~loc ~accessor ~check_writer
-  | Lf tbl -> lf_read t tbl ~loc ~accessor ~check_writer);
+  (match writer_of (read_swap t (cell t loc) accessor) with
+  | Some w -> check_writer w
+  | None -> ());
   Prof.stop t_read t0
 
 let on_write t ~loc ~accessor ~check =
   let t0 = Prof.start () in
-  (match t.repr with
-  | Striped (stripes, locking) -> striped_write t stripes locking ~loc ~accessor ~check
-  | Lf tbl -> lf_write t tbl ~loc ~accessor ~check);
+  let c = cell t loc in
+  let r = Atomic.get c in
+  (match writer_of r with
+  | Some w when w == accessor && nreaders r = 0 ->
+      (* the installed writer again, no reader since: the swap would
+         change nothing. The writer-vs-writer check still runs, as the
+         serial update would run it. *)
+      Metrics.incr m_write_fast;
+      check ~prev:accessor ~prev_is_writer:true
+  | _ ->
+      let fresh =
+        match r with
+        | All _ -> All { writer = Some accessor; readers = []; n = 0 }
+        | Lr _ -> Lr { writer = Some accessor; pairs = Int_map.empty; n = 0 }
+      in
+      Chaos.point Chaos.Lock_acquire;
+      (* the new record does not depend on the old one, so one exchange
+         publishes it and returns exactly the record it displaced *)
+      let old =
+        if t.sync then Atomic.exchange c fresh
+        else begin
+          Atomic.set c fresh;
+          r
+        end
+      in
+      (match writer_of old with Some w -> check ~prev:w ~prev_is_writer:true | None -> ());
+      (match old with
+      | All { readers; _ } -> List.iter (fun x -> check ~prev:x ~prev_is_writer:false) readers
+      | Lr { pairs; _ } ->
+          Int_map.iter
+            (fun _ (l, r) ->
+              check ~prev:l ~prev_is_writer:false;
+              if r != l then check ~prev:r ~prev_is_writer:false)
+            pairs);
+      Metrics.add m_readers_evict (nreaders old));
   Prof.stop t_write t0
 
-(* -- statistics ----------------------------------------------------------- *)
+(* -- statistics (quiescent reads) --------------------------------------- *)
 
-let fold_striped stripes locking f init =
-  Array.fold_left
-    (fun acc stripe ->
-      if locking then Mutex.lock stripe.mu;
-      let acc = Hashtbl.fold (fun _ cell acc -> f acc cell) stripe.cells acc in
-      if locking then Mutex.unlock stripe.mu;
-      acc)
-    init stripes
+let fold_records t f init =
+  let page acc pg =
+    Array.fold_left
+      (fun acc c ->
+        let r = Atomic.get c in
+        if r == t.empty then acc else f acc r)
+      acc pg
+  in
+  let acc =
+    Array.fold_left (fun acc slot -> page acc (Atomic.get slot)) init (Atomic.get t.spine).pages
+  in
+  Int_map.fold (fun _ pg acc -> page acc pg) (Atomic.get t.sparse) acc
 
-let fold_lf tbl f init =
-  match Atomic.get tbl.snapshot with
-  | None -> init
-  | Some w ->
-      Array.fold_left
-        (fun acc slot -> match slot with Some cell -> f acc cell | None -> acc)
-        init w.cells
-
-let locations_tracked t =
-  match t.repr with
-  | Striped (stripes, locking) -> fold_striped stripes locking (fun acc _ -> acc + 1) 0
-  | Lf tbl -> fold_lf tbl (fun acc _ -> acc + 1) 0
-
-let readers_stored t =
-  match t.repr with
-  | Striped (stripes, locking) ->
-      fold_striped stripes locking (fun acc c -> acc + c.nreaders) 0
-  | Lf tbl -> fold_lf tbl (fun acc c -> acc + List.length (Atomic.get c.lf_readers)) 0
-
+let locations_tracked t = fold_records t (fun acc _ -> acc + 1) 0
+let readers_stored t = fold_records t (fun acc r -> acc + nreaders r) 0
 let max_readers_at_once t = Atomic.get t.max_readers
 
+(* Heap words: the spine (array plus one atomic box per slot), the
+   sparse map's nodes, each installed page (array plus one box per cell),
+   and per touched location its record, writer option and reader list or
+   (future, pair) map nodes. *)
 let words t =
-  match t.repr with
-  | Striped (stripes, locking) ->
-      fold_striped stripes locking
-        (fun acc c ->
-          acc + 6
-          +
-          match c.readers with
-          | R_list rs -> 3 * List.length rs
-          | R_inline r -> 3 + Array.length r.slots + (3 * List.length r.spill)
-          | R_lr tbl -> 5 * Hashtbl.length tbl)
-        (8 * Array.length stripes + Array.length t.wcache)
-  | Lf tbl ->
-      fold_lf tbl
-        (fun acc c -> acc + 6 + (3 * List.length (Atomic.get c.lf_readers)))
-        ((match Atomic.get tbl.snapshot with
-         | Some w -> Array.length w.cells
-         | None -> 0)
-        + 4)
+  let s = Atomic.get t.spine in
+  fold_records t
+    (fun acc r ->
+      acc + 4
+      + (match writer_of r with None -> 0 | Some _ -> 2)
+      + match r with All { n; _ } -> 3 * n | Lr { pairs; _ } -> 9 * Int_map.cardinal pairs)
+    (3 + (3 * Array.length s.pages) + 1
+    + (6 * Int_map.cardinal (Atomic.get t.sparse))
+    + (Atomic.get t.npages * (1 + (3 * page_size))))

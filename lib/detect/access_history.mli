@@ -1,9 +1,7 @@
 (** Shadow memory — the access-history component (paper Sections 3.5, 4).
 
-    A two-level structure: locations hash to striped buckets, each stripe
-    guarded by its own mutex (the paper's fine-grained locking over
-    16-byte granules). Per location the history keeps the last writer and
-    previous readers under one of two policies:
+    Per location the history keeps the last writer and the previous
+    readers under one of two policies:
 
     - [Keep_all]: every reader since the last write (collapsing
       consecutive same-strand reads) — what both F-Order and the paper's
@@ -12,55 +10,52 @@
       dag — the ≤ 2k bound this paper proves sufficient for structured
       futures (Lemmas 3.10/3.11). Requires English/Hebrew comparators.
 
-    Three synchronization modes address the paper's closing observation
-    that access-history synchronization dominates full-detection overhead:
+    {2 Representation}
 
-    - [`Mutex] (default): per-stripe locks; the [check] callbacks run
-      inside the location's critical section, so each location's access
-      sequence is linearized. The paper's design.
-    - [`Unsynchronized]: no synchronization at all — sound only under a
-      serial execution; isolates the locking cost (ablation A).
-    - [`Lockfree]: the "redesigned access history" the paper's conclusion
-      asks for. Writers install themselves with an atomic exchange and
-      drain the reader set with another; readers push onto a Treiber
-      stack and then validate against the current writer. Per-location
-      completeness is preserved: for any conflicting parallel pair, either
-      the reader is in the set a writer drains, or (by the real-time order
-      that dag precedence forces) the reader observes that writer or a
-      racing successor of it, so some check on that location fires.
-      [`Lockfree] supports the [Keep_all] policy only.
+    One location is one cell holding an immutable record
+    [{writer; readers; nreaders}]: under [Keep_all] the readers are a
+    newest-first list, under [Lr_per_future] an immutable map from future
+    to its (leftmost, rightmost) pair. Cells live in 512-cell pages,
+    reached through a spine indexed by page number. Pages are installed
+    lazily by compare-and-set; the spine grows, under a mutex and at least
+    doubling, only when a location falls outside the pages it spans, and
+    never past 64 slots per installed page. A page beyond that reach goes
+    to a sparse map read without a lock, until a later growth adopts it.
+    So memory follows the pages touched, not the location range, even
+    when locations lie far apart, and a cell never moves once created.
 
-    On a write the readers are drained/cleared and the writer replaced —
-    the standard update preserving the per-location reported-iff-exists
-    guarantee.
+    An access computes the record it leaves behind and swaps it in with
+    one compare-and-set (a write, whose record does not depend on the old
+    one, with one exchange); a lost compare re-reads the cell and retries
+    ([history.cas.retry]). It then runs its race checks against the record
+    it displaced. Two cases swap and allocate nothing: a read whose strand
+    is already the head reader (or, under [Lr_per_future], that moves
+    neither stored extreme), and a write by the installed writer with no
+    reader stored ([history.write.fastpath]). These take the record they
+    read as the one they are checked against.
 
-    {2 Fast paths}
+    {2 Completeness}
 
-    [create ~fast:true] (the default) layers three optimizations over the
-    modes above; [~fast:false] is the reference ablation, and the two must
-    produce byte-identical race reports and identical query counts:
+    Every access to a location is checked against exactly the record it
+    displaced (or, when it swaps nothing, the record it read, which it
+    would have displaced by an equal one). Successful swaps on a cell are
+    totally ordered, and each record is the serial update of its
+    predecessor, so the checks each location sees are precisely those of
+    a serial run that visits its accesses in that linearization order.
+    The serial update preserves the per-location reported-iff-a-race-
+    exists guarantee for any visiting order consistent with the dag, and
+    the linearization is consistent with the dag: if [u ≺ v] then [u]'s
+    swap happened before [v] started. Hence no race is missed under any
+    schedule, and under a serial execution the reports, query counts and
+    reader high-water marks equal those of any serial history.
 
-    - {b Last-writer filter}: a direct-mapped cache of (location,
-      accessor) pairs. A write whose strand is already the installed
-      writer for the location — and with no reader registered since —
-      skips the lock/evict/install cycle entirely; only the
-      writer-vs-writer race check runs (so the query count matches the
-      unfiltered path exactly). The cache is read without
-      synchronization; this is sound because a hit can only be stale if
-      some other access to the location has gone through the locked path
-      since this strand's write installed itself — and that access was
-      then checked against this strand's installed write, so the pair was
-      already examined. Reads and foreign writes invalidate the slot.
-      Counted by [history.write.fastpath].
-    - {b Inline readers}: under [Keep_all], the first 8 readers of each
-      write epoch live in a mutable array reused across epochs — the
-      common case allocates no cons cell per read — spilling to a list
-      past 8. Eviction iterates newest-first, reproducing the list
-      path's order, so first-race attribution is unchanged.
-    - {b Mixed stripe hashing}: stripe (and cache-slot) selection
-      multiplies the location by the golden-ratio constant and takes the
-      high bits, so power-of-two strided access patterns spread across
-      stripes instead of serializing on one lock. *)
+    {2 Synchronization modes}
+
+    - [`Cas] (default): the design above; parallel-safe.
+    - [`Unsynchronized]: the same records, stored with a plain
+      [Atomic.set] and no compare — sound only when one domain owns the
+      history (a serial run, or one shard of a sharded replay); the
+      paper's Ablation A lower bound. *)
 
 type 'a policy =
   | Keep_all
@@ -76,31 +71,35 @@ type 'a policy =
               is stored (Mellor-Crummey's replacement rule). *)
     }
 
-type sync_mode = [ `Mutex | `Unsynchronized | `Lockfree ]
+type sync_mode = [ `Cas | `Unsynchronized ]
 
 type 'a t
 
-val create : ?stripes:int -> ?sync:sync_mode -> ?fast:bool -> 'a policy -> 'a t
-(** Defaults: 64 stripes, [`Mutex], [~fast:true] (see {e Fast paths}
-    above; [~fast:false] selects the reference slow paths for ablation).
-    @raise Invalid_argument for [`Lockfree] with [Lr_per_future]. *)
+val create : ?sync:sync_mode -> 'a policy -> 'a t
+(** Default [`Cas]. *)
 
 val on_read : 'a t -> loc:int -> accessor:'a -> check_writer:('a -> unit) -> unit
-(** Calls [check_writer] on the stored last writer (if any), then records
-    the reader per policy. *)
+(** Records the reader per policy, then calls [check_writer] on the
+    writer of the record it displaced (if any). *)
 
 val on_write :
   'a t -> loc:int -> accessor:'a -> check:(prev:'a -> prev_is_writer:bool -> unit) -> unit
-(** Calls [check] on the stored writer and on every stored reader, then
-    clears the readers and installs the new writer. *)
+(** Installs the new writer with no readers, then calls [check] on the
+    displaced writer and on every displaced reader, newest first
+    ([Keep_all]) or in future order ([Lr_per_future]). *)
+
+(** The statistics below read the cells without synchronization; call
+    them once accesses have quiesced. *)
 
 val locations_tracked : 'a t -> int
 val readers_stored : 'a t -> int
-(** Currently stored readers across all locations. *)
+(** Currently stored readers across all locations (two per stored future
+    under [Lr_per_future]). *)
 
 val max_readers_at_once : 'a t -> int
 (** High-water mark of readers stored for a single location — the
-    quantity the paper bounds by 2k for structured futures. (Approximate
-    under [`Lockfree].) *)
+    quantity the paper bounds by 2k for structured futures. *)
 
 val words : 'a t -> int
+(** Heap words held: spine, sparse map, installed pages, and
+    per-location records with their readers. *)

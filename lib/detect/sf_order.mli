@@ -26,37 +26,30 @@
       of Lemmas 3.10/3.11.
     - [sets]: [`Bitmap] (the paper's arrays of 64-bit words) or [`Hashed]
       (hash tables, for the ablation against F-Order's representation).
-    - [history]: access-history synchronization — [`Mutex] (the paper's
-      fine-grained locks), [`Unsynchronized] (serial runs only; isolates
-      the locking overhead the paper discusses), or [`Lockfree] (the
-      redesigned low-synchronization history the paper's conclusion asks
-      for; see {!Access_history}).
-    - [fast]: hot-path optimizations, on by default. [~fast:true] stores
-      [cp(G)] in a lock-free chunked vector (O(1) amortized per create,
-      O(k) container words) and enables the access-history fast paths
-      (see {!Access_history}); [~fast:false] is the reference ablation —
-      copy-on-write [cp] snapshots (O(k) copy per create under a mutex)
-      and the unoptimized history. Race reports, query counts, and
-      [max_readers] are identical between the two. *)
+    - [history]: access-history synchronization — [`Cas] (lock-free
+      per-location records; see {!Access_history}) or [`Unsynchronized]
+      (serial runs only; isolates the synchronization cost, the paper's
+      Ablation A).
+
+    [cp(G)] lives in a chunked vector: O(1) amortized per create, O(k)
+    container words over k creates. *)
 
 val make :
   ?readers:[ `All | `Two_per_future ] ->
   ?sets:[ `Bitmap | `Hashed ] ->
   ?history:Access_history.sync_mode ->
-  ?fast:bool ->
   ?om:Sfr_om.Backend.name ->
   unit ->
   Detector.t
-(** Defaults: [`All] readers, [`Bitmap] sets, [`Mutex] history,
-    [~fast:true]. [om] selects the order-maintenance backend for the
-    English/Hebrew lists (default: the process-wide
+(** Defaults: [`All] readers, [`Bitmap] sets, [`Cas] history. [om]
+    selects the order-maintenance backend for the English/Hebrew lists
+    (default: the process-wide
     {!Sfr_om.Backend.default}); reports are backend-invariant. *)
 
 val make_with_precedes :
   ?readers:[ `All | `Two_per_future ] ->
   ?sets:[ `Bitmap | `Hashed ] ->
   ?history:Access_history.sync_mode ->
-  ?fast:bool ->
   ?om:Sfr_om.Backend.name ->
   unit ->
   Detector.t * (Sfr_runtime.Events.state -> Sfr_runtime.Events.state -> bool)

@@ -33,12 +33,11 @@
     [vc.slots.reused] track clock churn. *)
 
 val make :
-  ?history:[ `Mutex | `Unsynchronized | `Lockfree ] ->
-  ?fast:bool ->
+  ?history:Access_history.sync_mode ->
   unit ->
   Detector.t
-(** [history] and [fast] configure the shared access history exactly as
-    in {!Sf_order.make}. Parallel-capable ([supports_parallel = true]). *)
+(** [history] configures the shared access history exactly as in
+    {!Sf_order.make}. Parallel-capable ([supports_parallel = true]). *)
 
 val strand_task : Sfr_runtime.Events.state -> int
 (** The clock slot owned by this strand's task (tests). *)

@@ -241,39 +241,40 @@ let sweep ~scale ~repeats =
 
 let ablation_locks ~scale ~repeats =
   Format.printf
-    "Ablation A (paper section 4): access-history locking cost. Full \
-     detection with and without per-location locks (serial runs).@.";
+    "Ablation A (paper section 4): access-history synchronization cost. \
+     Full detection with per-location compare-and-set vs unsynchronized \
+     stores (serial runs).@.";
   let t =
     Tablefmt.create ~title:""
       [
         ("bench", Tablefmt.Left);
         ("detector", Tablefmt.Left);
-        ("locked T1", Tablefmt.Right);
-        ("lock-free T1", Tablefmt.Right);
-        ("lock overhead", Tablefmt.Right);
+        ("cas T1", Tablefmt.Right);
+        ("unsync T1", Tablefmt.Right);
+        ("sync overhead", Tablefmt.Right);
       ]
   in
   List.iter
     (fun (w : Workload.t) ->
       let mk = instance_maker w scale in
       List.iter
-        (fun (name, locked, unlocked) ->
-          let ml = Runner.time_serial ~repeats mk (Runner.Full locked) in
-          let mu = Runner.time_serial ~repeats mk (Runner.Full unlocked) in
+        (fun (name, synced, unsynced) ->
+          let ms = Runner.time_serial ~repeats mk (Runner.Full synced) in
+          let mu = Runner.time_serial ~repeats mk (Runner.Full unsynced) in
           Tablefmt.add_row t
             [
               w.Workload.name;
               name;
-              Printf.sprintf "%.3f" ml.Runner.seconds;
+              Printf.sprintf "%.3f" ms.Runner.seconds;
               Printf.sprintf "%.3f" mu.Runner.seconds;
-              Tablefmt.cell_times (ml.Runner.seconds /. mu.Runner.seconds);
+              Tablefmt.cell_times (ms.Runner.seconds /. mu.Runner.seconds);
             ])
         [
           ( "sf-order",
-            (fun () -> Sf_order.make ~history:`Mutex ()),
+            (fun () -> Sf_order.make ~history:`Cas ()),
             fun () -> Sf_order.make ~history:`Unsynchronized () );
           ( "f-order",
-            (fun () -> F_order.make ~history:`Mutex ()),
+            (fun () -> F_order.make ~history:`Cas ()),
             fun () -> F_order.make ~history:`Unsynchronized () );
         ])
     Registry.all;
@@ -348,41 +349,6 @@ let ablation_readers ~scale ~repeats =
           string_of_int ma.Runner.max_readers;
           string_of_int m2.Runner.max_readers;
           string_of_int (2 * k);
-        ])
-    Registry.all;
-  Tablefmt.print t
-
-let ablation_history ~scale ~repeats =
-  Format.printf
-    "Ablation D (extension; paper conclusion): redesigned access-history \
-     synchronization under full SF-Order detection. `Unsynchronized` is the \
-     serial-only lower bound; `Lockfree` is parallel-safe.@.";
-  let t =
-    Tablefmt.create ~title:""
-      [
-        ("bench", Tablefmt.Left);
-        ("mutex T1", Tablefmt.Right);
-        ("lockfree T1", Tablefmt.Right);
-        ("unsync T1", Tablefmt.Right);
-        ("lockfree vs mutex", Tablefmt.Right);
-      ]
-  in
-  List.iter
-    (fun (w : Workload.t) ->
-      let mk = instance_maker w scale in
-      let time history =
-        (Runner.time_serial ~repeats mk
-           (Runner.Full (fun () -> Sf_order.make ~history ())))
-          .Runner.seconds
-      in
-      let tm = time `Mutex and tl = time `Lockfree and tu = time `Unsynchronized in
-      Tablefmt.add_row t
-        [
-          w.Workload.name;
-          Printf.sprintf "%.3f" tm;
-          Printf.sprintf "%.3f" tl;
-          Printf.sprintf "%.3f" tu;
-          Tablefmt.cell_times (tm /. tl);
         ])
     Registry.all;
   Tablefmt.print t
@@ -517,8 +483,8 @@ let profile ~om_backends ~scale ~repeats ~out =
 
 (* Unlike [sweep] (simulated times from a recorded dag), these are real
    runs on the work-stealing executor — the numbers that move when the
-   synchronization hot paths change: stripe-lock contention, CAS retries
-   under the lock-free history, cp-container growth. *)
+   synchronization hot paths change: access-history CAS retries,
+   cp-container growth. *)
 let scaling ~om_backends ~scale ~repeats ~domains ~out =
   Format.printf
     "Domain scaling: measured wall-clock per domain count (work-stealing \
@@ -534,7 +500,6 @@ let scaling ~om_backends ~scale ~repeats ~domains ~out =
         ("domains", Tablefmt.Right);
         ("median (s)", Tablefmt.Right);
         ("speedup", Tablefmt.Right);
-        ("lock cont.", Tablefmt.Right);
         ("cas retry", Tablefmt.Right);
         ("om relabels", Tablefmt.Right);
         ("depa spills", Tablefmt.Right);
@@ -573,7 +538,6 @@ let scaling ~om_backends ~scale ~repeats ~domains ~out =
                   string_of_int d;
                   Printf.sprintf "%.4f" m.Runner.median;
                   Printf.sprintf "%.2fx" speedup;
-                  Tablefmt.cell_int_compact (metric m "history.lock.contended");
                   Tablefmt.cell_int_compact (metric m "history.cas.retry");
                   Tablefmt.cell_int_compact (metric m "om.relabels");
                   Tablefmt.cell_int_compact (metric m "om.depa.heap_spills");

@@ -33,10 +33,8 @@ val complexity : unit -> unit
     per-k² normalized table memory stays flat. *)
 
 val ablation_locks : scale:Sfr_workloads.Workload.scale -> repeats:int -> unit
-
-val ablation_history : scale:Sfr_workloads.Workload.scale -> repeats:int -> unit
-(** The paper-conclusion extension: mutex-striped vs lock-free vs
-    unsynchronized access histories under full SF-Order detection. *)
+(** Ablation A: compare-and-set vs unsynchronized access histories under
+    full SF-Order and F-Order detection (serial runs). *)
 
 val ablation_sets : scale:Sfr_workloads.Workload.scale -> repeats:int -> unit
 val ablation_readers : scale:Sfr_workloads.Workload.scale -> repeats:int -> unit
@@ -56,7 +54,7 @@ val scaling :
     ["sf-order-<config>+depa@d<domains>"] for DePa ([om_backends]
     selects which run). The printed table adds speedup vs the first
     domain count and the synchronization counters the hot-path
-    optimizations target ([history.lock.contended], [history.cas.retry],
+    optimizations target ([history.cas.retry],
     [om.relabels] vs [om.depa.heap_spills] — the backend A/B contrast —
     and [reach.table.alloc_words]). Wall-clock speedup needs as many
     hardware cores as domains; the counters are meaningful regardless. *)

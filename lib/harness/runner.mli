@@ -55,7 +55,7 @@ val time_parallel :
 (** [time_serial] with the work-stealing executor
     ({!Sfr_runtime.Par_exec}) on [domains] domains — real parallel
     execution, not the scheduling simulation, so detector-internal
-    contention ([history.lock.contended], [history.cas.retry]) is
+    contention ([history.cas.retry]) is
     exercised and captured in [metrics]. Wall-clock speedup additionally
     requires that many hardware cores. *)
 

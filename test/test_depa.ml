@@ -68,7 +68,7 @@ let metric det name =
   | Some v -> v
   | None -> 0
 
-let histories = [ (`Mutex, "mutex"); (`Lockfree, "lockfree") ]
+let histories = [ (`Cas, "cas"); (`Unsynchronized, "unsync") ]
 
 (* depa and list must agree on every real workload, both history
    synchronization modes, serial execution (deterministic schedule, so

@@ -272,7 +272,6 @@ let prop_serial_differential =
            (fun () -> Sf_order.make ~readers:`Two_per_future ());
            (fun () -> Sf_order.make ~sets:`Hashed ());
            (fun () -> Sf_order.make ~history:`Unsynchronized ());
-           (fun () -> Sf_order.make ~history:`Lockfree ());
            (fun () -> F_order.make ());
            (fun () -> F_order.make ~history:`Unsynchronized ());
            (fun () -> Multibags.make ());
@@ -290,8 +289,6 @@ let prop_parallel_differential =
              [
                (fun () -> Sf_order.make ());
                (fun () -> Sf_order.make ~readers:`Two_per_future ());
-               (fun () -> Sf_order.make ~history:`Lockfree ());
-               (fun () -> F_order.make ~history:`Lockfree ());
                (fun () -> F_order.make ());
              ])
          [ 1; 2; 3 ])
@@ -414,7 +411,7 @@ let prop_race_free_soundness =
           ((fun () -> Multibags.make ()), false);
           ((fun () -> F_order.make ()), false);
           ((fun () -> Sf_order.make ()), true);
-          ((fun () -> Sf_order.make ~history:`Lockfree ()), true);
+          ((fun () -> Sf_order.make ~readers:`Two_per_future ()), true);
           ((fun () -> F_order.make ()), true);
         ])
 

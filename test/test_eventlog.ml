@@ -14,6 +14,7 @@ module Recorder = Sfr_eventlog.Recorder
 module Reader = Sfr_eventlog.Reader
 module Replay = Sfr_eventlog.Replay
 module Shard_replay = Sfr_eventlog.Shard_replay
+module Stream_replay = Sfr_eventlog.Stream_replay
 module Events = Sfr_runtime.Events
 module Serial_exec = Sfr_runtime.Serial_exec
 module Par_exec = Sfr_runtime.Par_exec
@@ -192,6 +193,51 @@ let test_shard_of () =
     (fun i n ->
       check Alcotest.bool (Printf.sprintf "shard %d populated" i) true (n > 32))
     hit
+
+(* Locations arrive from the log unchecked beyond sign, so a log may
+   touch 0 and 2^50 and nothing between. Every replay path keeps a
+   history keyed by location; each must finish with the one race at the
+   far location rather than size its directory by the span. *)
+let test_far_apart_locations () =
+  let far = 1 lsl 50 in
+  let log, _, image =
+    record (fun cb root ->
+        let child, cont = cb.Events.on_spawn root in
+        cb.Events.on_write child 0;
+        cb.Events.on_write child far;
+        cb.Events.on_returned ~cont ~child_last:child;
+        cb.Events.on_write cont far;
+        ignore (cb.Events.on_sync ~cur:cont ~spawned_lasts:[ child ] ~created_firsts:[]))
+  in
+  let racy = List.sort_uniq compare in
+  let locs reports = racy (List.map (fun (r : Race.report) -> r.Race.loc) reports) in
+  let det = Sf_order.make () in
+  (match Replay.run_detector log det with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "replay failed: %s" (Replay.error_to_string e));
+  check (Alcotest.list Alcotest.int) "replay" [ far ] (locs (Race.reports det.Detector.races));
+  List.iter
+    (fun shards ->
+      (match Shard_replay.run log ~shards with
+      | Ok r ->
+          check (Alcotest.list Alcotest.int)
+            (Printf.sprintf "shard replay x%d" shards)
+            [ far ] (locs r.Shard_replay.reports)
+      | Error e -> Alcotest.failf "shard replay failed: %s" (Replay.error_to_string e));
+      let st = Stream_replay.create ~shards ~access_batch:1 () in
+      Stream_replay.feed st image ~pos:0 ~len:(Bytes.length image);
+      Stream_replay.step st;
+      let v = Stream_replay.close st ~abrupt:false in
+      check Alcotest.string
+        (Printf.sprintf "stream x%d status" shards)
+        "complete"
+        (match v.Stream_replay.status with
+        | Stream_replay.Complete -> "complete"
+        | s -> Stream_replay.status_to_string s);
+      check (Alcotest.list Alcotest.int)
+        (Printf.sprintf "stream x%d" shards)
+        [ far ] v.Stream_replay.racy_locations)
+    [ 1; 2 ]
 
 (* -- malformed logs ----------------------------------------------------- *)
 
@@ -423,6 +469,7 @@ let () =
         [
           Alcotest.test_case "shard-count invariance" `Quick test_shard_invariance;
           Alcotest.test_case "partition function" `Quick test_shard_of;
+          Alcotest.test_case "far-apart locations" `Quick test_far_apart_locations;
         ] );
       ( "malformed",
         [

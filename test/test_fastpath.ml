@@ -1,14 +1,13 @@
-(* Differential tests for the hot-path optimizations (chunked cp store,
-   access-history write filter + inline readers + mixed stripe hashing).
+(* Differential tests for the access history's swap-free paths and the
+   chunked cp store, against the independent oracles.
 
-   The ablation contract: [Sf_order.make ~fast:false] is the reference
-   implementation, and the optimized default must be observationally
-   identical — byte-identical race reports (location, kind, attributed
-   futures, witness count), identical reachability-query totals, and the
-   identical reader high-water mark — on every workload, every synthetic
-   program, and every history synchronization mode. The perf counters are
-   the only thing allowed to differ, and on the cp container they must
-   differ in the optimized direction. *)
+   The contract: under a serial execution SF-Order's outcome — race
+   reports (location, kind, attributed futures, witness count),
+   reachability-query total and reader high-water mark — is
+   byte-identical to vc-order's, which shares no reachability code with
+   it, and its racy-location set equals the naive all-pairs oracle's. On
+   parallel and chaos-perturbed schedules the racy-location set must not
+   change, for the keep-all and the 2-per-future reader policies alike. *)
 
 module Workload = Sfr_workloads.Workload
 module Registry = Sfr_workloads.Registry
@@ -16,8 +15,12 @@ module Synthetic = Sfr_workloads.Synthetic
 module Detector = Sfr_detect.Detector
 module Race = Sfr_detect.Race
 module Sf_order = Sfr_detect.Sf_order
+module Vc_order = Sfr_detect.Vc_order
+module Naive_detector = Sfr_detect.Naive_detector
 module Serial_exec = Sfr_runtime.Serial_exec
 module Par_exec = Sfr_runtime.Par_exec
+module Trace = Sfr_runtime.Trace
+module Dag = Sfr_dag.Dag
 module Chaos = Sfr_chaos.Chaos
 
 let check = Alcotest.check
@@ -63,106 +66,137 @@ let run_full ?workers ?(base = 0) det prog =
     o_max_readers = det.Detector.max_readers ();
   }
 
-let histories = [ (`Mutex, "mutex"); (`Lockfree, "lockfree") ]
+let racy_set o = List.map (fun (l, _, _, _, _) -> l) o.o_reports
 
-(* fast and compat must agree on every real workload, both history
-   synchronization modes, serial execution (deterministic schedule, so
-   the outcomes must be exactly equal, not just race-equivalent) *)
-let test_workloads_differential () =
+(* The naive oracle's racy set, plus the most futures reading any one
+   location — the k in the 2-per-future bound (Lemmas 3.10/3.11). *)
+let naive_and_readers ~base prog =
+  let trace, cb, root = Trace.make ~log_accesses:true () in
+  let (), _ = Serial_exec.run cb ~root prog in
+  let dag = Trace.dag trace in
+  let v = Naive_detector.analyze dag (Trace.accesses trace) in
+  let futures = Hashtbl.create 64 in
   List.iter
+    (fun (a : Trace.access) ->
+      if not a.Trace.is_write then
+        Hashtbl.replace futures (a.Trace.loc, Dag.future_of dag a.Trace.node) ())
+    (Trace.accesses trace);
+  let per_loc = Hashtbl.create 64 in
+  Hashtbl.iter
+    (fun (loc, _) () ->
+      Hashtbl.replace per_loc loc (1 + Option.value (Hashtbl.find_opt per_loc loc) ~default:0))
+    futures;
+  ( List.sort compare (List.map (fun l -> l - base) v.Naive_detector.racy_locations),
+    Hashtbl.fold (fun _ n m -> max n m) per_loc 0 )
+
+(* The programs the differentials cover, each a fresh-instance thunk
+   returning (program, memory base): the five workloads at tiny scale
+   with and without an injected race, and 24 synthetic dags, racy and
+   race-free. *)
+let workload_programs =
+  List.concat_map
     (fun (w : Workload.t) ->
-      List.iter
-        (fun (history, hname) ->
-          let run fast =
-            let inst = w.Workload.instantiate Workload.Tiny in
-            run_full (Sf_order.make ~history ~fast ()) inst.Workload.program
-          in
-          let opt = run true in
-          let ref_ = run false in
-          check outcome
-            (Printf.sprintf "%s/%s fast = compat" w.Workload.name hname)
-            ref_ opt;
-          check bool
-            (Printf.sprintf "%s/%s nonzero queries" w.Workload.name hname)
-            true (opt.o_queries > 0))
-        histories)
+      List.map
+        (fun inject_race ->
+          ( Printf.sprintf "%s inject=%b" w.Workload.name inject_race,
+            fun () ->
+              let inst = w.Workload.instantiate ~inject_race Workload.Tiny in
+              (inst.Workload.program, inst.Workload.mem_base) ))
+        [ false; true ])
     Registry.all
 
-(* ... and on random synthetic dags, racy and race-free *)
-let test_synthetic_differential () =
-  List.iter
+let synthetic_programs =
+  List.concat_map
     (fun race_free ->
-      for seed = 1 to 12 do
-        let t = Synthetic.generate ~race_free ~seed ~ops:150 ~depth:5 ~locs:8 () in
-        List.iter
-          (fun (history, hname) ->
-            let run fast =
+      List.init 12 (fun i ->
+          let seed = i + 1 in
+          let t = Synthetic.generate ~race_free ~seed ~ops:150 ~depth:5 ~locs:8 () in
+          ( Printf.sprintf "synthetic seed %d race_free=%b" seed race_free,
+            fun () ->
               let inst = Synthetic.instantiate t in
-              run_full ~base:inst.Synthetic.mem_base
-                (Sf_order.make ~history ~fast ())
-                inst.Synthetic.program
-            in
-            check outcome
-              (Printf.sprintf "seed %d race_free=%b %s" seed race_free hname)
-              (run false) (run true)
-          )
-          histories
-      done)
+              (inst.Synthetic.program, inst.Synthetic.mem_base) )))
     [ false; true ]
+
+let programs = workload_programs @ synthetic_programs
+
+let run ?workers make fresh =
+  let prog, base = fresh () in
+  run_full ?workers ~base (make ()) prog
+
+(* serial: byte-identical to vc-order, race set equal to naive *)
+let test_serial_oracles programs () =
+  List.iter
+    (fun (name, fresh) ->
+      let sf = run Sf_order.make fresh in
+      check outcome (name ^ ": sf-order = vc-order") (run Vc_order.make fresh) sf;
+      let prog, base = fresh () in
+      let naive, _ = naive_and_readers ~base prog in
+      check (Alcotest.list int) (name ^ ": sf-order = naive") naive (racy_set sf))
+    programs
 
 (* under a parallel schedule the witnessed interleaving (hence counts and
    query totals) may differ run to run, but the racy-location set is
-   schedule-independent — fast and compat must find the same one *)
-let racy_set o = List.map (fun (l, _, _, _, _) -> l) o.o_reports
-
+   schedule-independent *)
 let test_parallel_differential () =
   for seed = 1 to 6 do
     let t = Synthetic.generate ~seed ~ops:200 ~depth:5 ~locs:8 () in
-    let run fast workers =
+    let fresh () =
       let inst = Synthetic.instantiate t in
-      run_full ?workers ~base:inst.Synthetic.mem_base (Sf_order.make ~fast ())
-        inst.Synthetic.program
+      (inst.Synthetic.program, inst.Synthetic.mem_base)
     in
-    let serial = run true None in
-    let par_fast = run true (Some 4) in
-    let par_ref = run false (Some 4) in
     check (Alcotest.list int)
-      (Printf.sprintf "seed %d: 4-domain fast = serial race set" seed)
-      (racy_set serial) (racy_set par_fast);
-    check (Alcotest.list int)
-      (Printf.sprintf "seed %d: 4-domain compat = serial race set" seed)
-      (racy_set serial) (racy_set par_ref)
+      (Printf.sprintf "seed %d: 4-domain race set = serial" seed)
+      (racy_set (run Sf_order.make fresh))
+      (racy_set (run ~workers:4 Sf_order.make fresh))
   done
 
 (* chaos-perturbed schedules stress the publication paths (chunk installs,
-   write-cache invalidation, lock-free drains) without injecting faults:
-   the race set must still match the serial run's *)
+   page installs, lost compare-and-sets) without injecting faults: the
+   race set must still match the serial run's *)
 let test_chaos_parallel () =
   for seed = 1 to 4 do
     let t = Synthetic.generate ~seed:(100 + seed) ~ops:200 ~depth:5 ~locs:8 () in
-    let serial =
+    let fresh () =
       let inst = Synthetic.instantiate t in
-      run_full ~base:inst.Synthetic.mem_base (Sf_order.make ())
-        inst.Synthetic.program
+      (inst.Synthetic.program, inst.Synthetic.mem_base)
     in
+    let serial = run Sf_order.make fresh in
     let perturbed =
       Chaos.arm ~seed ();
-      Fun.protect ~finally:Chaos.disarm (fun () ->
-          let inst = Synthetic.instantiate t in
-          run_full ~workers:4 ~base:inst.Synthetic.mem_base (Sf_order.make ())
-            inst.Synthetic.program)
+      Fun.protect ~finally:Chaos.disarm (fun () -> run ~workers:4 Sf_order.make fresh)
     in
     check (Alcotest.list int)
       (Printf.sprintf "seed %d: chaos 4-domain race set = serial" seed)
       (racy_set serial) (racy_set perturbed)
   done
 
-(* the ablation direction on the cp container: over a run with many
-   future creates, the chunked store must charge strictly fewer container
-   words to reach.table.alloc_words than copy-on-write snapshots, while
-   agreeing on every observable. The set-table words (identical tables
-   either way) cancel in the comparison because both runs allocate the
-   same Fp_sets tables. *)
+(* The 2-per-future policy on 2 domains, plain and chaos-perturbed: the
+   racy set equals vc-order's serial one on every program, and no
+   location ever stores more than 2 readers per future reading it. *)
+let two_pf () = Sf_order.make ~readers:`Two_per_future ()
+
+let test_2pf_parallel ~chaos () =
+  List.iteri
+    (fun i (name, fresh) ->
+      let expected = racy_set (run Vc_order.make fresh) in
+      let par =
+        if chaos then begin
+          Chaos.arm ~seed:(300 + i) ();
+          Fun.protect ~finally:Chaos.disarm (fun () -> run ~workers:2 two_pf fresh)
+        end
+        else run ~workers:2 two_pf fresh
+      in
+      check (Alcotest.list int) (name ^ ": 2pf 2-domain = vc-order") expected (racy_set par);
+      let prog, base = fresh () in
+      let _, k = naive_and_readers ~base prog in
+      if par.o_max_readers > 2 * k then
+        Alcotest.failf "%s: %d readers stored, %d futures read one location" name
+          par.o_max_readers k)
+    programs
+
+(* The cp container grows O(k) over k future creates: a chunk of 512
+   slots plus one spine copy every 512 creates. Container words are the
+   cp charges to reach.table.alloc_words beyond the set tables'. *)
 let test_cp_container_ablation () =
   let module P = Sfr_runtime.Program in
   let rec create_nest k () =
@@ -173,26 +207,23 @@ let test_cp_container_ablation () =
       P.get h
     end
   in
-  let alloc_words fast =
-    let det = Sf_order.make ~fast () in
-    Serial_exec.run det.Detector.callbacks ~root:det.Detector.root (fun () ->
-        ignore (create_nest 1500 ()))
-    |> fst;
+  let k = 1500 in
+  let det = Sf_order.make () in
+  Serial_exec.run det.Detector.callbacks ~root:det.Detector.root (fun () ->
+      ignore (create_nest k ()))
+  |> fst;
+  let alloc =
     match List.assoc_opt "reach.table.alloc_words" (det.Detector.metrics ()) with
     | Some w -> w
     | None -> Alcotest.fail "reach.table.alloc_words not in metrics"
   in
-  let chunked = alloc_words true in
-  let cow = alloc_words false in
-  if not (chunked < cow) then
-    Alcotest.failf "chunked cp words (%d) not below copy-on-write (%d)" chunked
-      cow;
-  (* the gap must be the k² container term, not noise: for k=1500 the
-     snapshots alone are > k²/2 = 1.1M words *)
-  check bool "gap is quadratic-scale" true (cow - chunked > 500_000)
+  let container = alloc - det.Detector.reach_table_words () in
+  if container < 0 || container > (2 * k) + 1024 then
+    Alcotest.failf "cp container words %d for k=%d not O(k)" container k
 
 (* the write filter must actually absorb consecutive same-strand writes
-   (the counter moving is what the scaling bench reports) *)
+   (the counter moving is what the scaling bench reports), while every
+   write after a location's first still runs its writer check *)
 let test_write_fastpath_counter () =
   let module P = Sfr_runtime.Program in
   let metric det name =
@@ -200,9 +231,9 @@ let test_write_fastpath_counter () =
     | Some v -> v
     | None -> 0
   in
-  let run fast =
+  let run make =
     let a = P.alloc 4 0 in
-    let det = Sf_order.make ~fast () in
+    let det = make () in
     Serial_exec.run det.Detector.callbacks ~root:det.Detector.root (fun () ->
         for _ = 1 to 100 do
           P.wr a 0 1;
@@ -211,27 +242,28 @@ let test_write_fastpath_counter () =
     |> fst;
     det
   in
-  let opt = run true in
-  check bool "fast path taken" true
-    (metric opt "history.write.fastpath" >= 190);
-  let ref_ = run false in
-  check int "compat never takes it" 0 (metric ref_ "history.write.fastpath");
-  check int "identical queries" (ref_.Detector.queries ())
-    (opt.Detector.queries ())
+  let sf = run Sf_order.make in
+  check bool "fast path taken" true (metric sf "history.write.fastpath" >= 190);
+  check int "one writer check per repeat write" 198 (sf.Detector.queries ());
+  check int "vc-order agrees" 198 ((run Vc_order.make).Detector.queries ())
 
 let () =
   Alcotest.run "fastpath"
     [
       ( "differential",
         [
-          Alcotest.test_case "workloads fast=compat" `Quick
-            test_workloads_differential;
-          Alcotest.test_case "synthetic fast=compat" `Quick
-            test_synthetic_differential;
+          Alcotest.test_case "workloads = vc-order, naive" `Quick
+            (test_serial_oracles workload_programs);
+          Alcotest.test_case "synthetic = vc-order, naive" `Quick
+            (test_serial_oracles synthetic_programs);
           Alcotest.test_case "4-domain race sets" `Quick
             test_parallel_differential;
           Alcotest.test_case "chaos 4-domain race sets" `Quick
             test_chaos_parallel;
+          Alcotest.test_case "2pf 2-domain race sets" `Quick
+            (test_2pf_parallel ~chaos:false);
+          Alcotest.test_case "2pf chaos race sets" `Quick
+            (test_2pf_parallel ~chaos:true);
         ] );
       ( "ablation",
         [

@@ -114,6 +114,32 @@ let test_lr_per_future_isolation () =
   (* one (doubled) slot per future *)
   check int "2 per future" 6 (Access_history.readers_stored h)
 
+(* The reader counters count slots: [insert] those a read stores,
+   [evict] those a read replaces (a moved extreme, a superseded pair) or
+   a write drops, so their difference is what stays stored. *)
+let test_lr_reader_churn_counters () =
+  let module Metrics = Sfr_obs.Metrics in
+  Metrics.enable ();
+  let base = Metrics.snapshot () in
+  let h = Access_history.create lr_policy in
+  let read a = Access_history.on_read h ~loc:0 ~accessor:a ~check_writer:(fun _ -> ()) in
+  (* future 1, a chain: 2 stored, then four supersedes of 2 slots each *)
+  for i = 1 to 5 do
+    read { f = 1; eng = i; heb = i }
+  done;
+  (* future 3, parallel readers: 2 stored, then four rightmost moves *)
+  for i = 1 to 5 do
+    read { f = 3; eng = i; heb = 6 - i }
+  done;
+  let get name = try List.assoc name (Metrics.since base) with Not_found -> 0 in
+  check int "inserts before the write" 16 (get "history.readers.insert");
+  check int "evicts before the write" 12 (get "history.readers.evict");
+  check int "stored" 4 (Access_history.readers_stored h);
+  Access_history.on_write h ~loc:0 ~accessor:{ f = 0; eng = 100; heb = 100 }
+    ~check:(fun ~prev:_ ~prev_is_writer:_ -> ());
+  check int "inserts" 16 (get "history.readers.insert");
+  check int "evicts" 16 (get "history.readers.evict")
+
 (* ------------------------------------------------------------------ *)
 (* Race collector                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -268,6 +294,7 @@ let () =
           Alcotest.test_case "two per future" `Quick test_lr_two_per_future;
           Alcotest.test_case "covered replacement" `Quick test_lr_covered_replacement;
           Alcotest.test_case "per-future isolation" `Quick test_lr_per_future_isolation;
+          Alcotest.test_case "reader churn counters" `Quick test_lr_reader_churn_counters;
         ] );
       ( "race_collector",
         [

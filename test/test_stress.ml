@@ -14,7 +14,6 @@ module Synthetic = Sfr_workloads.Synthetic
 module Detector = Sfr_detect.Detector
 module Sf_order = Sfr_detect.Sf_order
 module Access_history = Sfr_detect.Access_history
-module Detect_error = Sfr_detect.Detect_error
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -136,7 +135,7 @@ let test_om_concurrent_inserts () =
 (* ------------------------------------------------------------------ *)
 
 let test_lockfree_history_stress () =
-  let h = Access_history.create ~sync:`Lockfree Access_history.Keep_all in
+  let h = Access_history.create Access_history.Keep_all in
   let checks = Atomic.make 0 in
   let domains =
     List.init 4 (fun d ->
@@ -162,8 +161,8 @@ let test_lockfree_history_stress () =
   check (Alcotest.list int) "writer visible to later reader" [ 1 ] !seen
 
 let test_lockfree_sparse_locations () =
-  (* growth of the dense cell array across far-apart locations *)
-  let h = Access_history.create ~sync:`Lockfree Access_history.Keep_all in
+  (* pages and spine growth across far-apart locations *)
+  let h = Access_history.create Access_history.Keep_all in
   List.iter
     (fun loc ->
       Access_history.on_write h ~loc ~accessor:loc
@@ -175,24 +174,95 @@ let test_lockfree_sparse_locations () =
     ~check_writer:(fun w -> seen := w :: !seen);
   check (Alcotest.list int) "far cell intact" [ 200_000 ] !seen
 
-let test_lockfree_rejects_lr () =
-  Alcotest.check_raises "lockfree requires keep-all"
-    (Detect_error.Error
-       (Detect_error.Unsupported
-          {
-            detector = "Access_history";
-            feature = "`Lockfree with Lr_per_future (requires Keep_all)";
-          }))
-    (fun () ->
-      ignore
-        (Access_history.create ~sync:`Lockfree
-           (Access_history.Lr_per_future
-              {
-                future_of = (fun (_ : int) -> 0);
-                more_left = (fun _ _ -> false);
-                more_right = (fun _ _ -> false);
-                covers = (fun _ _ -> false);
-              })))
+(* Locations far apart cost a page each, not the span between them:
+   0, 2^50, max_int and a negative location hold four pages. A later
+   dense fill reaching one of them adopts its page into the spine, and
+   the record written there survives the move. *)
+let test_history_far_apart () =
+  let page_words = 1 + (3 * 512) in
+  List.iter
+    (fun sync ->
+      let h = Access_history.create ~sync Access_history.Keep_all in
+      let write loc =
+        Access_history.on_write h ~loc ~accessor:loc ~check:(fun ~prev:_ ~prev_is_writer:_ -> ())
+      in
+      let writer_at loc =
+        let seen = ref [] in
+        Access_history.on_read h ~loc ~accessor:(-1) ~check_writer:(fun w -> seen := w :: !seen);
+        !seen
+      in
+      let far = [ 0; 1 lsl 50; max_int; -(1 lsl 40) ] in
+      List.iter write far;
+      List.iter (fun loc -> check (Alcotest.list int) "far writer" [ loc ] (writer_at loc)) far;
+      let w = Access_history.words h in
+      if w > (4 * page_words) + 4096 then Alcotest.failf "four far locations hold %d words" w;
+      (* page 1000 starts sparse; filling pages 1..999 grows the spine over it *)
+      let lone = 1000 * 512 in
+      write lone;
+      for p = 1 to 999 do
+        write (p * 512)
+      done;
+      check (Alcotest.list int) "adopted page keeps its record" [ lone ] (writer_at lone);
+      check int "locations tracked" (4 + 1000) (Access_history.locations_tracked h);
+      let w = Access_history.words h in
+      if w > (1004 * page_words * 9 / 8) + 4096 then Alcotest.failf "1004 pages hold %d words" w)
+    [ `Cas; `Unsynchronized ]
+
+(* Four domains install far-apart and nearby pages at once; every write
+   lands in the one cell later reads find. *)
+let test_history_far_apart_parallel () =
+  let h = Access_history.create Access_history.Keep_all in
+  let loc d i = if i mod 2 = 0 then (d lsl 44) + (i lsl 20) else (d * 4096) + i in
+  let domains =
+    List.init 4 (fun d ->
+        Domain.spawn (fun () ->
+            for i = 0 to 199 do
+              Access_history.on_write h ~loc:(loc d i) ~accessor:(loc d i)
+                ~check:(fun ~prev:_ ~prev_is_writer:_ -> ())
+            done))
+  in
+  List.iter Domain.join domains;
+  check int "locations tracked" 800 (Access_history.locations_tracked h);
+  for d = 0 to 3 do
+    for i = 0 to 199 do
+      let seen = ref [] in
+      Access_history.on_read h ~loc:(loc d i) ~accessor:(-1)
+        ~check_writer:(fun w -> seen := w :: !seen);
+      check (Alcotest.list int) "writer visible" [ loc d i ] !seen
+    done
+  done
+
+(* Memory follows the locations touched, whatever order they arrive in.
+   A sweep from high to low addresses once grew a directory that doubled
+   on every downward step; checking every 1024 locations catches such
+   growth long before it exhausts memory. *)
+let test_history_growth_follows_touched () =
+  let n = 200_000 and top = 5_000_000 in
+  let h = Access_history.create Access_history.Keep_all in
+  for i = 0 to n - 1 do
+    let loc = top - i in
+    Access_history.on_write h ~loc ~accessor:loc
+      ~check:(fun ~prev:_ ~prev_is_writer:_ -> ());
+    let touched = i + 1 in
+    if touched mod 1024 = 0 || touched = n then begin
+      let w = Access_history.words h in
+      if w > (16 * touched) + 8192 then
+        Alcotest.failf "history holds %d words after %d locations" w touched
+    end
+  done;
+  check int "every location tracked" n (Access_history.locations_tracked h)
+
+(* The default detector's history on serial sort at default scale stays
+   within the footprint of the striped-mutex history it replaced
+   (682,560 words). *)
+let test_history_words_sort_default () =
+  let module Workload = Sfr_workloads.Workload in
+  let w = Option.get (Sfr_workloads.Registry.find "sort") in
+  let inst = w.Workload.instantiate Workload.Default in
+  let det = (Option.get (Sfr_detect.Registry.find "sf-order")).Sfr_detect.Registry.make () in
+  Serial_exec.run det.Detector.callbacks ~root:det.Detector.root inst.Workload.program |> fst;
+  let words = det.Detector.history_words () in
+  if words > 682_560 then Alcotest.failf "sort/default history holds %d words" words
 
 (* ------------------------------------------------------------------ *)
 (* Support modules: Vec, Mem_meter                                      *)
@@ -243,7 +313,10 @@ let () =
         [
           Alcotest.test_case "stress" `Quick test_lockfree_history_stress;
           Alcotest.test_case "sparse locations" `Quick test_lockfree_sparse_locations;
-          Alcotest.test_case "rejects Lr policy" `Quick test_lockfree_rejects_lr;
+          Alcotest.test_case "far-apart locations" `Quick test_history_far_apart;
+          Alcotest.test_case "far-apart parallel" `Quick test_history_far_apart_parallel;
+          Alcotest.test_case "growth follows touched" `Quick test_history_growth_follows_touched;
+          Alcotest.test_case "sort/default words" `Quick test_history_words_sort_default;
         ] );
       ( "support",
         [

@@ -254,7 +254,7 @@ let test_vc_sf_large_scale () =
           (run (fun () -> Sf_order.make ~history ()))
           (run (fun () -> Vc_order.make ~history ()))
       done)
-    [ (`Mutex, "mutex"); (`Lockfree, "lockfree") ]
+    [ (`Cas, "cas"); (`Unsynchronized, "unsync") ]
 
 (* ---------- parallel and chaos-perturbed schedules ---------- *)
 
