@@ -532,7 +532,6 @@ let usage () =
     \                 prof-overhead|micro|eventlog|serve|soak|all]\n\
     \                [--scale tiny|small|default|large|paper] [--repeats N]\n\
     \                [--workers P] [--seeds N] [--domains N,N,...]\n\
-    \                [--om list|depa|both]\n\
     \                [--trace-out FILE] [--telemetry-out FILE] [--sample-ms N]\n\
     \                [--profile-out FILE]\n\
     \                [--scaling-out FILE] [--no-metrics]\n\
@@ -554,7 +553,6 @@ let () =
   let profile_out = ref "BENCH_profile.json" in
   let scaling_out = ref "BENCH_scaling.json" in
   let domains = ref [ 1; 2; 4; 8 ] in
-  let om_backends = ref Sfr_om.Backend.all in
   let rec parse = function
     | [] -> ()
     | "--scale" :: s :: rest ->
@@ -608,14 +606,6 @@ let () =
         | [] -> usage ()
         | ds -> domains := ds);
         parse rest
-    | "--om" :: b :: rest ->
-        (match b with
-        | "both" -> om_backends := Sfr_om.Backend.all
-        | _ -> (
-            match Sfr_om.Backend.of_string b with
-            | Some b -> om_backends := [ b ]
-            | None -> usage ()));
-        parse rest
     | "--report-only" :: rest ->
         report_only := true;
         parse rest
@@ -643,15 +633,13 @@ let () =
     | "ablation-readers" -> Figures.ablation_readers ~scale ~repeats
     | "profile" -> (
         try
-          Figures.profile ~om_backends:!om_backends ~scale ~repeats
-            ~out:!profile_out
+          Figures.profile ~scale ~repeats ~out:!profile_out
         with Sys_error msg ->
           Printf.eprintf "cannot write profile: %s\n" msg;
           exit 2)
     | "scaling" -> (
         try
-          Figures.scaling ~om_backends:!om_backends ~scale ~repeats
-            ~domains:!domains ~out:!scaling_out
+          Figures.scaling ~scale ~repeats ~domains:!domains ~out:!scaling_out
         with Sys_error msg ->
           Printf.eprintf "cannot write scaling results: %s\n" msg;
           exit 2)

@@ -85,26 +85,6 @@ let scale_conv =
         | None -> Error (`Msg (Printf.sprintf "unknown scale %S" s))),
       fun ppf s -> Workload.pp_scale ppf s )
 
-(* The OM backend flag shared by the subcommands that build online
-   detectors. It sets the process-wide default before detector
-   construction, so registry-made detectors (zero-argument [make]
-   functions) pick the backend up without threading a parameter through
-   every entry. *)
-let om_term =
-  Arg.(
-    value
-    & opt (some (enum [ ("list", `List); ("depa", `Depa) ])) None
-    & info [ "om" ] ~docv:"BACKEND"
-        ~doc:
-          "Order-maintenance backend for the English/Hebrew lists: \
-           $(b,list) (two-level Dietz-Sleator list, the default) or \
-           $(b,depa) (DePa fork-path labels, no relabel phase). Race \
-           reports are backend-invariant.")
-
-let apply_om = function
-  | Some b -> Sfr_om.Backend.set_default b
-  | None -> ()
-
 (* Race-report rendering shared by live detection and offline replay, so
    their outputs diff cleanly; returns the racy-location count. *)
 let print_races reports =
@@ -243,8 +223,7 @@ let run_cmd =
           ~doc:"Telemetry sampling period in milliseconds.")
   in
   let run workload detector scale executor workers inject no_verify
-      check_discipline stats trace_out flight_dump telemetry_out sample_ms om =
-    apply_om om;
+      check_discipline stats trace_out flight_dump telemetry_out sample_ms =
     let entry = resolve_detector detector in
     match Registry.find workload with
     | None ->
@@ -359,7 +338,7 @@ let run_cmd =
     Term.(
       const run $ workload $ detector $ scale $ executor $ workers $ inject
       $ no_verify $ check_discipline $ stats $ trace_out $ flight_dump
-      $ telemetry_out $ sample_ms $ om_term)
+      $ telemetry_out $ sample_ms)
 
 (* -- metrics-dump / telemetry-lint -------------------------------------- *)
 
@@ -637,8 +616,7 @@ let replay_cmd =
       value & flag
       & info [ "no-verify" ] ~doc:"Exit 0 even when races are reported.")
   in
-  let run file detector shards stats no_verify om =
-    apply_om om;
+  let run file detector shards stats no_verify =
     let entry = resolve_detector detector in
     let log =
       match Sfr_eventlog.Reader.load_file file with
@@ -723,7 +701,7 @@ let replay_cmd =
     if racy > 0 && not no_verify then exit 1
   in
   Cmd.v (Cmd.info "replay" ~doc)
-    Term.(const run $ file $ detector $ shards $ stats $ no_verify $ om_term)
+    Term.(const run $ file $ detector $ shards $ stats $ no_verify)
 
 let analyze_cmd =
   let doc = "Offline analysis of a recorded sfdag trace: races, work/span, speedups." in
@@ -817,8 +795,7 @@ let synth_cmd =
       & info [ "stats" ]
           ~doc:"Print the detector's metric counters after the run.")
   in
-  let run seed ops depth locs detector oracle no_verify stats om =
-    apply_om om;
+  let run seed ops depth locs detector oracle no_verify stats =
     let entry = resolve_detector detector in
     let t = Synthetic.generate ~seed ~ops ~depth ~locs () in
     let n_ops, futures, gets = Synthetic.stats t in
@@ -851,7 +828,7 @@ let synth_cmd =
   Cmd.v (Cmd.info "synth" ~doc)
     Term.(
       const run $ seed $ ops $ depth $ locs $ detector $ oracle $ no_verify
-      $ stats $ om_term)
+      $ stats)
 
 (* -- chaos -------------------------------------------------------------- *)
 
@@ -922,8 +899,7 @@ let chaos_cmd =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print chaos metric counters.")
   in
   let run seeds base_seed ops depth locs detector oracle workers no_chaos
-      fault_rate shrink out stats om =
-    apply_om om;
+      fault_rate shrink out stats =
     let module Chaos = Sfr_chaos.Chaos in
     let module Runner = Sfr_chaos_driver.Chaos_runner in
     let entry = resolve_detector detector in
@@ -994,7 +970,7 @@ let chaos_cmd =
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
       const run $ seeds $ base_seed $ ops $ depth $ locs $ detector $ oracle
-      $ workers $ no_chaos $ fault_rate $ shrink $ out $ stats $ om_term)
+      $ workers $ no_chaos $ fault_rate $ shrink $ out $ stats)
 
 (* -- detectors ---------------------------------------------------------- *)
 

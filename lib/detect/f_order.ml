@@ -26,8 +26,8 @@ let as_fo = function
   | Fo s -> s
   | _ -> Detect_error.foreign_state ~detector:"F_order" ~context:"state unwrap"
 
-let make ?(history = `Cas) ?om () =
-  let spo, root_pos = Sp_order.create ?backend:om () in
+let make ?(history = `Cas) () =
+  let spo, root_pos = Sp_order.create () in
   let eng : Sp_order.pos Exit_map.eng = Exit_map.create () in
   let next_fid = Atomic.make 1 in
   let races = Race.create () in

@@ -17,8 +17,5 @@
 
 val make :
   ?history:Access_history.sync_mode ->
-  ?om:Sfr_om.Backend.name ->
   unit ->
   Detector.t
-(** [om] selects the order-maintenance backend (default: the
-    process-wide {!Sfr_om.Backend.default}). *)

@@ -48,8 +48,8 @@ let cp_append cp eng ~parent_fid =
   let parent_cp = Fp_sets.share (Chunk_vec.get cp parent_fid) in
   Chunk_vec.push cp (Fp_sets.with_added eng parent_cp parent_fid)
 
-let make_with_precedes ?(readers = `All) ?(sets = `Bitmap) ?(history = `Cas) ?om () =
-  let spo, root_pos = Sp_order.create ?backend:om () in
+let make_with_precedes ?(readers = `All) ?(sets = `Bitmap) ?(history = `Cas) () =
+  let spo, root_pos = Sp_order.create () in
   let eng =
     Fp_sets.create (match sets with `Bitmap -> Fp_sets.Bitmap | `Hashed -> Fp_sets.Hashed)
   in
@@ -186,7 +186,7 @@ let make_with_precedes ?(readers = `All) ?(sets = `Bitmap) ?(history = `Cas) ?om
   },
     fun u v -> precedes (as_sf u) (as_sf v) )
 
-let make ?readers ?sets ?history ?om () =
-  fst (make_with_precedes ?readers ?sets ?history ?om ())
+let make ?readers ?sets ?history () =
+  fst (make_with_precedes ?readers ?sets ?history ())
 
 let strand_future st = (as_sf st).fid

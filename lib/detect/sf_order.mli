@@ -38,19 +38,14 @@ val make :
   ?readers:[ `All | `Two_per_future ] ->
   ?sets:[ `Bitmap | `Hashed ] ->
   ?history:Access_history.sync_mode ->
-  ?om:Sfr_om.Backend.name ->
   unit ->
   Detector.t
-(** Defaults: [`All] readers, [`Bitmap] sets, [`Cas] history. [om]
-    selects the order-maintenance backend for the English/Hebrew lists
-    (default: the process-wide
-    {!Sfr_om.Backend.default}); reports are backend-invariant. *)
+(** Defaults: [`All] readers, [`Bitmap] sets, [`Cas] history. *)
 
 val make_with_precedes :
   ?readers:[ `All | `Two_per_future ] ->
   ?sets:[ `Bitmap | `Hashed ] ->
   ?history:Access_history.sync_mode ->
-  ?om:Sfr_om.Backend.name ->
   unit ->
   Detector.t * (Sfr_runtime.Events.state -> Sfr_runtime.Events.state -> bool)
 (** The detector plus its raw [Precedes] query over strand states (for

@@ -24,9 +24,8 @@ let shard_of ~loc ~shards =
 
 type access = { state : Events.state; loc : int; is_write : bool }
 
-let check_shard ~precedes ~future_of (accesses : access array) =
-  let history = Access_history.create ~sync:`Unsynchronized Access_history.Keep_all in
-  let races = Race.create () in
+let check_shard ~precedes history races (accesses : access array) =
+  let future_of = Sf_order.strand_future in
   Array.iter
     (fun { state; loc; is_write } ->
       if is_write then
@@ -42,13 +41,18 @@ let check_shard ~precedes ~future_of (accesses : access array) =
             if not (precedes w state) then
               Race.report races ~loc ~kind:Race.Write_read
                 ~prev_future:(future_of w) ~cur_future:(future_of state)))
-    accesses;
+    accesses
+
+(* One shard's private history and collector, checked in phase-1 order. *)
+let check_fresh_shard ~precedes accesses =
+  let history = Access_history.create ~sync:`Unsynchronized Access_history.Keep_all in
+  let races = Race.create () in
+  check_shard ~precedes history races accesses;
   races
 
 let run reader ~shards =
   if shards < 1 then invalid_arg "Shard_replay.run: shards must be >= 1";
   let det, precedes = Sf_order.make_with_precedes () in
-  let future_of = Sf_order.strand_future in
   let dummy = { state = Events.Unit_state; loc = 0; is_write = false } in
   let accesses = Sfr_support.Vec.create ~dummy () in
   let structural = ref 0 in
@@ -90,14 +94,14 @@ let run reader ~shards =
         accesses;
       let shard_races = Array.make shards (Race.create ()) in
       if shards = 1 then
-        shard_races.(0) <- check_shard ~precedes ~future_of parts.(0)
+        shard_races.(0) <- check_fresh_shard ~precedes parts.(0)
       else begin
         let domains =
           Array.init (shards - 1) (fun i ->
               Domain.spawn (fun () ->
-                  check_shard ~precedes ~future_of parts.(i + 1)))
+                  check_fresh_shard ~precedes parts.(i + 1)))
         in
-        shard_races.(0) <- check_shard ~precedes ~future_of parts.(0);
+        shard_races.(0) <- check_fresh_shard ~precedes parts.(0);
         Array.iteri
           (fun i d -> shard_races.(i + 1) <- Domain.join d)
           domains

@@ -34,5 +34,20 @@ type result = {
 val shard_of : loc:int -> shards:int -> int
 (** The partition function (exposed so tests can pin it). *)
 
+type access = { state : Sfr_runtime.Events.state; loc : int; is_write : bool }
+(** One recorded access, resolved to its strand state. *)
+
+val check_shard :
+  precedes:(Sfr_runtime.Events.state -> Sfr_runtime.Events.state -> bool) ->
+  Sfr_runtime.Events.state Sfr_detect.Access_history.t ->
+  Sfr_detect.Race.t ->
+  access array ->
+  unit
+(** [check_shard ~precedes history races accesses] checks [accesses], in
+    order, against the shard's [history] and reports races into [races].
+    [precedes] must be frozen for every pair of states involved. Shared
+    with {!Stream_replay}, whose shards keep their history across
+    batches. *)
+
 val run : Reader.t -> shards:int -> (result, Replay.error) Stdlib.result
 (** @raise Invalid_argument if [shards < 1]. *)

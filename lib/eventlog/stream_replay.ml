@@ -40,7 +40,11 @@ type verdict = {
    on that worker). *)
 type wstream = { q : Log_format.event Queue.t; mutable applied : int }
 
-type access = { state : Events.state; loc : int; is_write : bool }
+type access = Shard_replay.access = {
+  state : Events.state;
+  loc : int;
+  is_write : bool;
+}
 
 type shard_state = {
   n : int;
@@ -142,27 +146,8 @@ let ready t ev =
 
 (* -- sharded access checking ------------------------------------------- *)
 
-let check_shard_batch sh s (accesses : access array) =
-  let history = sh.histories.(s) in
-  let races = sh.races.(s) in
-  let precedes = sh.precedes in
-  let future_of = Sf_order.strand_future in
-  Array.iter
-    (fun { state; loc; is_write } ->
-      if is_write then
-        Access_history.on_write history ~loc ~accessor:state
-          ~check:(fun ~prev ~prev_is_writer ->
-            if not (precedes prev state) then
-              Race.report races ~loc
-                ~kind:
-                  (if prev_is_writer then Race.Write_write else Race.Read_write)
-                ~prev_future:(future_of prev) ~cur_future:(future_of state))
-      else
-        Access_history.on_read history ~loc ~accessor:state
-          ~check_writer:(fun w ->
-            if not (precedes w state) then
-              Race.report races ~loc ~kind:Race.Write_read
-                ~prev_future:(future_of w) ~cur_future:(future_of state)))
+let check_shard_batch sh s accesses =
+  Shard_replay.check_shard ~precedes:sh.precedes sh.histories.(s) sh.races.(s)
     accesses
 
 (* Drain every pending per-shard batch, shard 0 on the calling domain

@@ -1,28 +1,4 @@
-(* Order-maintenance backend registry: names the implementations of
-   Om_intf.S and holds the process-wide default used when construction
-   sites don't pass an explicit backend (the same pattern as the
-   detector Registry from the `--om` flag's point of view). *)
+type name = [ `List ]
 
-type name = [ `List | `Depa ]
-
-let all : name list = [ `List; `Depa ]
-
-let to_string = function `List -> "list" | `Depa -> "depa"
-
-let of_string = function
-  | "list" -> Some `List
-  | "depa" -> Some `Depa
-  | _ -> None
-
-let get : name -> (module Om_intf.S) = function
-  | `List -> (module Om)
-  | `Depa -> (module Depa)
-
-(* The process-wide default. CLI entry points set it once from --om
-   before any detector is constructed; Sp_order.create reads it when no
-   explicit ?backend is given, so registry-made detectors (whose make
-   functions take no arguments) pick the selected backend up too. *)
-let default_backend : name Atomic.t = Atomic.make `List
-
-let default () = Atomic.get default_backend
-let set_default b = Atomic.set default_backend b
+let to_string `List = "list"
+let default () = `List

@@ -1,28 +1,14 @@
-(** The order-maintenance backend registry.
+(** The name of the order-maintenance structure, {!Om}.
 
-    Two implementations of {!Om_intf.S} exist: the two-level
-    Dietz–Sleator / Bender list ({!Om}, [`List]) and DePa fork-path
-    labels ({!Depa}, [`Depa]). This module names them for CLI flags and
-    bench matrices, and holds the process-wide default backend that
-    {!Sfr_reach.Sp_order.create} uses when its caller doesn't pass one —
-    which is how [--om depa] reaches detectors constructed through the
-    zero-argument registry [make] functions. *)
+    There is one backend, so nothing here selects anything. This module
+    exists solely because the benchmark's [perfbench/main.ml] writes
+    [om_backend] into its [env] block, and the benchmark's directory is
+    frozen until its next change; that change deletes this module. *)
 
-type name = [ `List | `Depa ]
-
-val all : name list
-(** Every backend, in bench/report order ([`List] first). *)
+type name = [ `List ]
 
 val to_string : name -> string
-(** ["list"] / ["depa"] — the CLI and bench-row spellings. *)
-
-val of_string : string -> name option
-
-val get : name -> (module Om_intf.S)
+(** ["list"]. *)
 
 val default : unit -> name
-(** The process-wide default backend ([`List] at startup). *)
-
-val set_default : name -> unit
-(** Set the process-wide default. Call before constructing detectors;
-    lists already created keep the backend they were built with. *)
+(** [`List]. *)

@@ -1,161 +1,56 @@
 module Metrics = Sfr_obs.Metrics
 
 (* Per-structure accounting: how many OM insertions each pseudo-SP-dag
-   event costs (spawn = 4-5, sync = 1, step = 2). Shared by both backend
-   instantiations — the event mix is a property of the DAG, not of the
-   labeling scheme underneath. *)
+   event costs (spawn = 4-5, sync = 1, step = 2). *)
 let m_spawns = Metrics.counter "reach.sporder.spawns"
 let m_syncs = Metrics.counter "reach.sporder.syncs"
 let m_steps = Metrics.counter "reach.sporder.steps"
 
-(* The WSP-Order English/Hebrew construction over any order-maintenance
-   backend — the insertion rules only need insert-after and precedes, so
-   the whole reachability layer is agnostic to how labels are kept. *)
-module Make (Om : Sfr_om.Om_intf.S) = struct
-  type t = { eng : Om.t; heb : Om.t }
+module Om = Sfr_om.Om
 
-  type pos = { e : Om.item; h : Om.item }
+type t = { eng : Om.t; heb : Om.t }
 
-  type block = { j : Om.item }
+type pos = { e : Om.item; h : Om.item }
 
-  let create () =
-    let eng, ebase = Om.create () in
-    let heb, hbase = Om.create () in
-    ({ eng; heb }, { e = ebase; h = hbase })
+type block = { j : Om.item }
 
-  let spawn t ~cur ~block =
-    Metrics.incr m_spawns;
-    (* English: u < c < t.  Hebrew: u < t < c (< j). *)
-    let ce = Om.insert_after t.eng cur.e in
-    let te = Om.insert_after t.eng ce in
-    let th = Om.insert_after t.heb cur.h in
-    let ch = Om.insert_after t.heb th in
-    let block =
-      match block with
-      | Some b -> b
-      | None -> { j = Om.insert_after t.heb ch }
-    in
-    ({ e = ce; h = ch }, { e = te; h = th }, block)
-
-  let sync t ~cur ~block =
-    match block with
-    | None -> cur
-    | Some b ->
-        Metrics.incr m_syncs;
-        { e = Om.insert_after t.eng cur.e; h = b.j }
-
-  let step t ~cur =
-    Metrics.incr m_steps;
-    { e = Om.insert_after t.eng cur.e; h = Om.insert_after t.heb cur.h }
-
-  let precedes t u v =
-    Om.precedes t.eng u.e v.e && Om.precedes t.heb u.h v.h
-
-  let parallel t u v = (not (precedes t u v)) && not (precedes t v u)
-
-  let size t = Om.size t.eng
-  let words t = Om.words t.eng + Om.words t.heb
-
-  let eng_precedes t u v = Om.precedes t.eng u.e v.e
-  let heb_precedes t u v = Om.precedes t.heb u.h v.h
-end
-
-module L = Make (Sfr_om.Om)
-module D = Make (Sfr_om.Depa)
-
-(* Backend dispatch. A variant wrapper (rather than existential packing)
-   keeps [pos]/[block] plain single-constructor-per-backend values the
-   detectors can store in strand records without carrying a module
-   witness; mixing positions across structures of different backends is
-   a caller bug and trips [invalid_arg], exactly like mixing positions
-   across two lists of the same backend would corrupt silently. *)
-type t = Lt of L.t | Dt of D.t
-type pos = Lp of L.pos | Dp of D.pos
-type block = Lb of L.block | Db of D.block
-
-let mismatch () = invalid_arg "Sp_order: position from a different backend"
-
-let create ?backend () =
-  let b =
-    match backend with Some b -> b | None -> Sfr_om.Backend.default ()
-  in
-  match b with
-  | `List ->
-      let t, p = L.create () in
-      (Lt t, Lp p)
-  | `Depa ->
-      let t, p = D.create () in
-      (Dt t, Dp p)
-
-let backend = function Lt _ -> `List | Dt _ -> `Depa
+let create () =
+  let eng, ebase = Om.create () in
+  let heb, hbase = Om.create () in
+  ({ eng; heb }, { e = ebase; h = hbase })
 
 let spawn t ~cur ~block =
-  match (t, cur) with
-  | Lt t, Lp cur ->
-      let block =
-        match block with
-        | None -> None
-        | Some (Lb b) -> Some b
-        | Some (Db _) -> mismatch ()
-      in
-      let c, k, b = L.spawn t ~cur ~block in
-      (Lp c, Lp k, Lb b)
-  | Dt t, Dp cur ->
-      let block =
-        match block with
-        | None -> None
-        | Some (Db b) -> Some b
-        | Some (Lb _) -> mismatch ()
-      in
-      let c, k, b = D.spawn t ~cur ~block in
-      (Dp c, Dp k, Db b)
-  | _ -> mismatch ()
+  Metrics.incr m_spawns;
+  (* English: u < c < t.  Hebrew: u < t < c (< j). *)
+  let ce = Om.insert_after t.eng cur.e in
+  let te = Om.insert_after t.eng ce in
+  let th = Om.insert_after t.heb cur.h in
+  let ch = Om.insert_after t.heb th in
+  let block =
+    match block with
+    | Some b -> b
+    | None -> { j = Om.insert_after t.heb ch }
+  in
+  ({ e = ce; h = ch }, { e = te; h = th }, block)
 
 let sync t ~cur ~block =
-  match (t, cur) with
-  | Lt t, Lp cur ->
-      let block =
-        match block with
-        | None -> None
-        | Some (Lb b) -> Some b
-        | Some (Db _) -> mismatch ()
-      in
-      Lp (L.sync t ~cur ~block)
-  | Dt t, Dp cur ->
-      let block =
-        match block with
-        | None -> None
-        | Some (Db b) -> Some b
-        | Some (Lb _) -> mismatch ()
-      in
-      Dp (D.sync t ~cur ~block)
-  | _ -> mismatch ()
+  match block with
+  | None -> cur
+  | Some b ->
+      Metrics.incr m_syncs;
+      { e = Om.insert_after t.eng cur.e; h = b.j }
 
 let step t ~cur =
-  match (t, cur) with
-  | Lt t, Lp cur -> Lp (L.step t ~cur)
-  | Dt t, Dp cur -> Dp (D.step t ~cur)
-  | _ -> mismatch ()
+  Metrics.incr m_steps;
+  { e = Om.insert_after t.eng cur.e; h = Om.insert_after t.heb cur.h }
 
 let precedes t u v =
-  match (t, u, v) with
-  | Lt t, Lp u, Lp v -> L.precedes t u v
-  | Dt t, Dp u, Dp v -> D.precedes t u v
-  | _ -> mismatch ()
+  Om.precedes t.eng u.e v.e && Om.precedes t.heb u.h v.h
 
 let parallel t u v = (not (precedes t u v)) && not (precedes t v u)
 
-let size = function Lt t -> L.size t | Dt t -> D.size t
-let words = function Lt t -> L.words t | Dt t -> D.words t
+let size t = Om.size t.eng
+let words t = Om.words t.eng + Om.words t.heb
 
-let eng_precedes t u v =
-  match (t, u, v) with
-  | Lt t, Lp u, Lp v -> L.eng_precedes t u v
-  | Dt t, Dp u, Dp v -> D.eng_precedes t u v
-  | _ -> mismatch ()
-
-let heb_precedes t u v =
-  match (t, u, v) with
-  | Lt t, Lp u, Lp v -> L.heb_precedes t u v
-  | Dt t, Dp u, Dp v -> D.heb_precedes t u v
-  | _ -> mismatch ()
+let eng_precedes t u v = Om.precedes t.eng u.e v.e
+let heb_precedes t u v = Om.precedes t.heb u.h v.h

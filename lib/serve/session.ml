@@ -505,9 +505,14 @@ let check_timeout t ~now_ms =
       | Some d -> now_ms - t.started >= d
       | None -> false
     in
+    (* the idle timer runs only while the session waits on the client:
+       once CLOSE has arrived, or bytes are still queued, any quiet gap
+       is the server's, and a slow server must not cost a finished
+       stream its verdict *)
     let idle_hit =
       match t.cfg.idle_ms with
-      | Some d -> now_ms - t.last_activity >= d
+      | Some d ->
+          t.queued = 0 && (not t.close_received) && now_ms - t.last_activity >= d
       | None -> false
     in
     if deadline_hit then begin

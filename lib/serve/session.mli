@@ -126,4 +126,6 @@ val finish_overload : t -> message:string -> effect_
 
 val check_timeout : t -> now_ms:int -> effect_ option
 (** Deadline / idle expiry check; [Some] iff the session just finished
-    with [ERR_DEADLINE] or [ERR_IDLE]. *)
+    with [ERR_DEADLINE] or [ERR_IDLE]. The idle timer only runs while the
+    session waits on the client: no bytes queued and no CLOSE received.
+    The deadline timer always runs. *)

@@ -624,6 +624,32 @@ let test_idle () =
       check Alcotest.bool "message names the quiet gap" true
         (contains o.Session.message "idle"))
 
+(* A finished stream whose bytes the server has not drained yet must
+   not lose its verdict to the idle timer: the whole stream and its
+   CLOSE arrive at t=0, the server stays busy (deferred ingest, no tick)
+   past the idle limit, and only then drains. *)
+let test_idle_after_close () =
+  let image, base, log, _ = synth_image ~seed:8 ~ops:120 in
+  let offline = offline_races base log in
+  let clock = ref 0 in
+  let session = { Session.default_config with idle_ms = Some 10_000 } in
+  with_server
+    ~now_ms:(fun () -> !clock)
+    (mk_cfg ~session ~defer:true ())
+    (fun server ->
+      let c = Loopback.connect server in
+      Loopback.hello ~chaos:false c;
+      let len = Bytes.length image in
+      check Alcotest.int "whole stream sent at t=0" len
+        (Loopback.pump ~chaos:false c image ~pos:0 ~len);
+      Loopback.close ~chaos:false c;
+      check Alcotest.bool "bytes still queued" true (Server.queued_bytes server > 0);
+      clock := 20_000;
+      Server.tick server;
+      let o = outcome_exn server (sid_of c) in
+      check tcode "verdict, not ERR_IDLE" (expect_code offline) o.Session.code;
+      check slist "verdict races" offline (norm base o.Session.reports))
+
 (* -- chaos wire faults -------------------------------------------------- *)
 
 let chaos_cfg = { Chaos.default_config with Chaos.wire_rate = 0.25 }
@@ -793,6 +819,7 @@ let () =
         [
           Alcotest.test_case "deadline" `Quick test_deadline;
           Alcotest.test_case "idle" `Quick test_idle;
+          Alcotest.test_case "idle after close" `Quick test_idle_after_close;
         ] );
       ( "chaos",
         [ Alcotest.test_case "wire fault sweep" `Quick test_chaos_wire_sweep ] );
