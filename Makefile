@@ -50,7 +50,9 @@ replay-smoke:
 # registry itself (`racedetect detectors --names`) so a detector added
 # to the registry cannot be silently skipped by a stale hard-coded list.
 # Detectors with the `parallel` capability also run on 2 domains, which
-# puts the compare-and-set access history on real concurrency.
+# puts the compare-and-set access history on real concurrency. Every
+# program then runs once with `--check-discipline`, which must verify
+# the structured-futures discipline.
 detector-smoke:
 	dune build bin/racedetect.exe
 	@set -e; \
@@ -72,7 +74,14 @@ detector-smoke:
 	  p=$$((p + 1)); \
 	done; \
 	test $$p -gt 0 || { echo "detector-smoke: no parallel detector registered" >&2; exit 2; }; \
-	echo "detector-smoke: $$n registered detectors ran mm/tiny clean, $$p of them on 2 domains"
+	for w in mm sort sw hw ferret; do \
+	  echo "== $$w --check-discipline =="; \
+	  out=$$(dune exec bin/racedetect.exe -- run -w $$w -s tiny --check-discipline); \
+	  echo "$$out"; \
+	  echo "$$out" | grep -qx "structured-futures discipline verified." \
+	    || { echo "detector-smoke: $$w: discipline not verified" >&2; exit 2; }; \
+	done; \
+	echo "detector-smoke: $$n registered detectors ran mm/tiny clean, $$p of them on 2 domains; 5 programs passed the discipline check"
 
 telemetry-smoke:
 	dune build bin/racedetect.exe bench/main.exe

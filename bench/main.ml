@@ -8,7 +8,7 @@
      complexity        O(k^2) reachability-construction validation (Lemma 3.12)
      sweep             simulated scalability curves
      ablation-locks    access-history synchronization cost (paper section 4)
-     ablation-sets     bitmap vs hash-table gp/cp backends
+     ablation-sets     bitmap vs hash-table gp backends (sf-order)
      ablation-readers  keep-all vs 2-per-future reader policies
      eventlog          record-only overhead vs live detection; shard scaling
      scaling           measured multicore runs per domain count -> schema-v2 JSON

@@ -1,16 +1,20 @@
 module Events = Sfr_runtime.Events
 module Sp_order = Sfr_reach.Sp_order
 module Fp_sets = Sfr_reach.Fp_sets
+module Future_tree = Sfr_reach.Future_tree
 
 type violation = { future : int; message : string }
 
-(* same strand state as SF-Order, minus the access history *)
+(* same strand state as SF-Order, minus the access history; a future
+   carries its create's continuation strand, for the get check *)
 type strand = {
   pos : Sp_order.pos;
   block : Sp_order.block option;
-  fid : int;
+  fut : fut;
   gp : Fp_sets.table;
 }
+
+and fut = { span : Future_tree.span; create_cont : strand option }
 
 type Events.state += Dc of strand
 
@@ -27,18 +31,15 @@ type t = {
 let make () =
   let spo, root_pos = Sp_order.create () in
   let eng = Fp_sets.create Fp_sets.Bitmap in
-  let cp : Fp_sets.table array Atomic.t = Atomic.make [| Fp_sets.empty eng |] in
-  let cp_mu = Mutex.create () in
-  (* continuation strand of each future's create, for the get check *)
-  let conts : strand option array Atomic.t = Atomic.make [| None |] in
+  let futures, root_span = Future_tree.create () in
   let violations = ref [] in
   let violations_mu = Mutex.create () in
   let precedes (u : strand) (v : strand) =
     if u == v then true
-    else if u.fid = v.fid then Sp_order.precedes spo u.pos v.pos
-    else if Fp_sets.mem (Atomic.get cp).(v.fid) u.fid then
+    else if u.fut == v.fut then Sp_order.precedes spo u.pos v.pos
+    else if Future_tree.is_ancestor futures u.fut.span v.fut.span then
       Sp_order.precedes spo u.pos v.pos
-    else Fp_sets.mem v.gp u.fid
+    else Fp_sets.mem v.gp u.fut.span.fid
   in
   let callbacks =
     {
@@ -46,26 +47,22 @@ let make () =
         (fun cur ->
           let cur = as_dc cur in
           let c_pos, t_pos, blk = Sp_order.spawn spo ~cur:cur.pos ~block:cur.block in
-          ( Dc { pos = c_pos; block = None; fid = cur.fid; gp = Fp_sets.share cur.gp },
-            Dc { pos = t_pos; block = Some blk; fid = cur.fid; gp = cur.gp } ));
+          ( Dc { pos = c_pos; block = None; fut = cur.fut; gp = Fp_sets.share cur.gp },
+            Dc { pos = t_pos; block = Some blk; fut = cur.fut; gp = cur.gp } ));
       on_create =
         (fun cur ->
           let cur = as_dc cur in
-          Mutex.lock cp_mu;
-          let old = Atomic.get cp in
-          let fid = Array.length old in
-          let parent_cp = Fp_sets.share old.(cur.fid) in
-          let child_cp = Fp_sets.with_added eng parent_cp cur.fid in
-          Atomic.set cp (Array.append old [| child_cp |]);
+          let span = Future_tree.create_child futures cur.fut.span in
           let c_pos, t_pos, blk = Sp_order.spawn spo ~cur:cur.pos ~block:cur.block in
+          let cont = { pos = t_pos; block = Some blk; fut = cur.fut; gp = cur.gp } in
           let child =
-            { pos = c_pos; block = None; fid; gp = Fp_sets.share cur.gp }
+            {
+              pos = c_pos;
+              block = None;
+              fut = { span; create_cont = Some cont };
+              gp = Fp_sets.share cur.gp;
+            }
           in
-          let cont =
-            { pos = t_pos; block = Some blk; fid = cur.fid; gp = cur.gp }
-          in
-          Atomic.set conts (Array.append (Atomic.get conts) [| Some cont |]);
-          Mutex.unlock cp_mu;
           (Dc child, Dc cont));
       on_sync =
         (fun ~cur ~spawned_lasts ~created_firsts:_ ->
@@ -74,34 +71,33 @@ let make () =
           let gp =
             Fp_sets.merge eng cur.gp (List.map (fun s -> (as_dc s).gp) spawned_lasts)
           in
-          Dc { pos; block = None; fid = cur.fid; gp });
+          Dc { pos; block = None; fut = cur.fut; gp });
       on_put = (fun _ -> ());
       on_get =
         (fun ~cur ~put ->
           let cur = as_dc cur and put = as_dc put in
+          let fid = put.fut.span.fid in
           (* the structured-use check: the create's continuation must
              reach the getting strand without the future's own edges *)
-          (match (Atomic.get conts).(put.fid) with
+          (match put.fut.create_cont with
           | Some cont when precedes cont cur -> ()
           | Some _ ->
               Mutex.lock violations_mu;
               violations :=
                 {
-                  future = put.fid;
+                  future = fid;
                   message =
                     Printf.sprintf
                       "get on future %d is not reachable from its create's \
                        continuation: unstructured use"
-                      put.fid;
+                      fid;
                 }
                 :: !violations;
               Mutex.unlock violations_mu
-          | None -> () (* conts grows with cp under cp_mu; fid always present *));
+          | None -> () (* the root future is never gotten *));
           let pos = Sp_order.step spo ~cur:cur.pos in
-          let gp =
-            Fp_sets.with_added eng (Fp_sets.merge eng cur.gp [ put.gp ]) put.fid
-          in
-          Dc { pos; block = cur.block; fid = cur.fid; gp });
+          let gp = Fp_sets.merge_add eng cur.gp [ put.gp ] fid in
+          Dc { pos; block = cur.block; fut = cur.fut; gp });
       on_returned = (fun ~cont:_ ~child_last:_ -> ());
       on_read = (fun _ _ -> ());
       on_write = (fun _ _ -> ());
@@ -110,7 +106,14 @@ let make () =
   in
   {
     callbacks;
-    root = Dc { pos = root_pos; block = None; fid = 0; gp = Fp_sets.empty eng };
+    root =
+      Dc
+        {
+          pos = root_pos;
+          block = None;
+          fut = { span = root_span; create_cont = None };
+          gp = Fp_sets.empty eng;
+        };
     violations =
       (fun () ->
         Mutex.lock violations_mu;

@@ -95,9 +95,7 @@ let make () =
       on_get =
         (fun ~cur ~put ->
           let cur = as_mb cur and put = as_mb put in
-          let gp =
-            Fp_sets.with_added eng (Fp_sets.merge eng cur.gp [ put.gp ]) put.fid
-          in
+          let gp = Fp_sets.merge_add eng cur.gp [ put.gp ] put.fid in
           Mb { frame = cur.frame; fid = cur.fid; gp });
       on_returned =
         (fun ~cont ~child_last ->

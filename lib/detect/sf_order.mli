@@ -5,7 +5,9 @@
 
     + WSP-Order English/Hebrew order maintenance over the pseudo-SP-dag
       ({!Sfr_reach.Sp_order}), answering [u ↠ v] in O(1);
-    + [cp(G)] — per-future bitmap of future ancestors;
+    + [cp(G)] — [G]'s future ancestors, as nested order-maintenance
+      spans ({!Sfr_reach.Future_tree}): [F ∈ cp(G)] iff [F]'s span
+      encloses [G]'s;
     + [gp(v)] — per-strand bitmap of futures whose last node NSP-precedes
       [v] ({!Sfr_reach.Fp_sets}).
 
@@ -17,22 +19,22 @@
     - otherwise: answer [F ∈ gp(v)]                            (Lemma 3.4)
 
     All three cases are O(1); total reachability-maintenance work is
-    O(T1 + k²) (Lemma 3.12).
+    O(T1 + k²) (Lemma 3.12), where the k² term is the [gp] copies
+    alone: a create inserts two items into the future tree and copies
+    nothing.
 
     Options mirror the paper's design space:
     - [readers]: [`All] stores every reader between writes (what the
       paper's own implementation does, Section 4); [`Two_per_future]
       stores only the leftmost/rightmost reader per future — the 2k bound
       of Lemmas 3.10/3.11.
-    - [sets]: [`Bitmap] (the paper's arrays of 64-bit words) or [`Hashed]
-      (hash tables, for the ablation against F-Order's representation).
+    - [sets]: [gp] tables as [`Bitmap] (the paper's arrays of 64-bit
+      words) or [`Hashed] (hash tables, for the ablation against
+      F-Order's representation).
     - [history]: access-history synchronization — [`Cas] (lock-free
       per-location records; see {!Access_history}) or [`Unsynchronized]
       (serial runs only; isolates the synchronization cost, the paper's
-      Ablation A).
-
-    [cp(G)] lives in a chunked vector: O(1) amortized per create, O(k)
-    container words over k creates. *)
+      Ablation A). *)
 
 val make :
   ?readers:[ `All | `Two_per_future ] ->

@@ -144,7 +144,7 @@ let make ?(history = `Cas) () =
         (fun cur ->
           let cur = as_vc cur in
           (* fresh future id in callback order — under a serial execution
-             this matches Sf_order's cp-push numbering, so attributed
+             this matches Sf_order's future-tree numbering, so attributed
              race reports diff byte-identically against it *)
           let fid = Atomic.fetch_and_add next_fid 1 in
           let child, cont = fork cur ~fid in

@@ -3,8 +3,8 @@
 
     Phase 1 replays only the {e structural} events (spawn / create / sync
     / put / get / returned) through a fresh SF-Order instance, building
-    the complete reachability structures (WSP-Order positions, cp/gp
-    future sets) and collecting the access events — resolved to their
+    the complete reachability structures (WSP-Order positions, future
+    spans, gp future sets) and collecting the access events — resolved to their
     strand states — in the merge's linearized order. Once the structure
     is complete, [Precedes (u, v)] is frozen for every recorded pair:
     order-maintenance keeps the relative order of inserted strands

@@ -157,9 +157,10 @@ let fig4 ~scale ~repeats ~workers =
 
 let fig5 ~scale =
   Format.printf
-    "Figure 5: memory of the per-node reachability tables (gp/cp bitmaps \
-     vs nsp hash tables), cumulative allocation over a reach run — the \
-     retain-per-node measurement of the paper (EXPERIMENTS.md).@.";
+    "Figure 5: memory of the per-node reachability tables (gp (sf-order) \
+     / gp+cp (multibags) bitmaps vs nsp hash tables), cumulative \
+     allocation over a reach run — the retain-per-node measurement of the \
+     paper (EXPERIMENTS.md).@.";
   let t =
     Tablefmt.create ~title:""
       [
@@ -282,7 +283,7 @@ let ablation_locks ~scale ~repeats =
 
 let ablation_sets ~scale ~repeats =
   Format.printf
-    "Ablation B (paper section 4): gp/cp as bitmaps (SF-Order) vs hash \
+    "Ablation B (paper section 4): SF-Order's gp as bitmaps vs hash \
      tables (what general-futures detectors need).@.";
   let t =
     Tablefmt.create ~title:""
@@ -472,7 +473,7 @@ let profile ~scale ~repeats ~out =
 (* Unlike [sweep] (simulated times from a recorded dag), these are real
    runs on the work-stealing executor — the numbers that move when the
    synchronization hot paths change: access-history CAS retries,
-   cp-container growth. *)
+   gp-table growth, order-maintenance relabels. *)
 let scaling ~scale ~repeats ~domains ~out =
   Format.printf
     "Domain scaling: measured wall-clock per domain count (work-stealing \
@@ -571,7 +572,8 @@ let complexity () =
     done;
     match !prev with Some h -> ignore (P.get h) | None -> ()
   in
-  (* k nested creates: cp(f_i) accumulates i bits *)
+  (* k nested creates: each get adds one bit to a gp table, while the
+     nesting itself lives in future-tree spans and allocates no table *)
   let rec create_nest k () =
     if k = 0 then 0
     else begin
@@ -619,6 +621,6 @@ let complexity () =
       Tablefmt.add_separator t)
     [
       ("get chain (gp growth)", fun k () -> get_chain k ());
-      ("create nest (cp growth)", fun k () -> ignore (create_nest k ()));
+      ("create nest (gp growth)", fun k () -> ignore (create_nest k ()));
     ];
   Tablefmt.print t

@@ -28,9 +28,9 @@ val motivation : scale:Sfr_workloads.Workload.scale -> unit
 
 val complexity : unit -> unit
 (** Empirical validation of Lemma 3.12: reachability construction is
-    O(T1 + k²). Two adversarial programs scale k — a get chain (quadratic
-    [gp] growth) and a create nest (quadratic [cp] growth) — and the
-    per-k² normalized table memory stays flat. *)
+    O(T1 + k²). Two adversarial programs scale k — a get chain and a
+    create nest, both with quadratic [gp] growth — and the per-k²
+    normalized table memory stays flat. *)
 
 val ablation_locks : scale:Sfr_workloads.Workload.scale -> repeats:int -> unit
 (** Ablation A: compare-and-set vs unsynchronized access histories under

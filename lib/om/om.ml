@@ -239,6 +239,13 @@ let rec insert_after t (x : item) =
   Mutex.unlock t.lock;
   result
 
+and insert_pair_after t (x : item) =
+  Mutex.lock t.lock;
+  let y = insert_after_locked t x in
+  let z = insert_after_locked t y in
+  Mutex.unlock t.lock;
+  (y, z)
+
 and insert_after_locked t (x : item) =
   let g = x.grp in
   if g.count >= group_capacity then begin

@@ -30,6 +30,11 @@ val create : unit -> t * item
 val insert_after : t -> item -> item
 (** [insert_after t x] inserts a new item immediately after [x]. *)
 
+val insert_pair_after : t -> item -> item * item
+(** [insert_pair_after t x] is [(y, z)] with [x < y < z] adjacent: [y]
+    inserted right after [x], then [z] right after [y], under one
+    acquisition of the list's lock. *)
+
 val precedes : t -> item -> item -> bool
 (** [precedes t x y] is true iff [x] is strictly before [y]. The two items
     must belong to [t]. Thread-safe against concurrent inserts. *)

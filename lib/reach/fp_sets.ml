@@ -20,10 +20,12 @@ type t = {
   mutable empty_table : table option;
 }
 
-and table = { repr : repr; rc : int Atomic.t; tid : int; eng : t }
+and table = { repr : repr; card : int; rc : int Atomic.t; tid : int; eng : t }
 (* [tid] is a process-unique identity: physically equal tables (and only
    those) share it, so merge can dedup its inputs with one sort instead
-   of O(n²) pointer scans. *)
+   of O(n²) pointer scans. [card] is fixed at allocation (tables are
+   immutable once published), so merge picks its candidate without a
+   popcount per input. *)
 
 (* -- representation helpers ------------------------------------------- *)
 
@@ -102,9 +104,10 @@ let account_free eng tbl =
 
 (* -- API ---------------------------------------------------------------- *)
 
-let alloc_table eng repr =
+let alloc_table ?card eng repr =
+  let card = match card with Some c -> c | None -> repr_cardinal repr in
   let tbl =
-    { repr; rc = Atomic.make 1; tid = Atomic.fetch_and_add eng.next_id 1; eng }
+    { repr; card; rc = Atomic.make 1; tid = Atomic.fetch_and_add eng.next_id 1; eng }
   in
   account_alloc eng tbl;
   tbl
@@ -145,18 +148,20 @@ let mem tbl i = repr_mem tbl.repr i
 (* Tables are immutable once published: a strand state handed to the
    access history (or collected by a client) may outlive its reference,
    and gp(v) is a fixed per-node set in the paper's model — so additions
-   always copy. At most one copy per get plus the cp copy per create:
-   within the O(k^2) construction budget of Lemma 3.12. *)
+   always copy, at most once per get: within the O(k^2) construction
+   budget of Lemma 3.12. *)
 let with_added eng tbl i =
   if repr_mem tbl.repr i then tbl
   else begin
     let repr = repr_copy tbl.repr in
     repr_add repr i;
     release tbl;
-    alloc_table eng repr
+    alloc_table ~card:(tbl.card + 1) eng repr
   end
 
-let merge eng primary others =
+(* The union of [primary :: others], plus [add] if given, with at most
+   one allocation. *)
+let union_of eng primary others add =
   let inputs = primary :: others in
   (* collapse physically-equal inputs (a strand and its child may share a
      table); each duplicate surrenders its reference. Table identities
@@ -178,35 +183,33 @@ let merge eng primary others =
         in
         dedup sorted
   in
-  match uniq with
-  | [] -> assert false
-  | [ single ] -> single
-  | _ ->
-      (* a candidate that subsumes all other inputs avoids an allocation
-         (the paper's merge-only-when-necessary rule) *)
-      let best =
-        List.fold_left
-          (fun acc x ->
-            if repr_cardinal x.repr > repr_cardinal acc.repr then x else acc)
-          (List.hd uniq) (List.tl uniq)
-      in
-      let subsumes cand =
-        List.for_all (fun x -> x == cand || repr_subset x.repr cand.repr) uniq
-      in
-      if subsumes best then begin
-        List.iter (fun x -> if x != best then release x) uniq;
-        best
-      end
-      else begin
-        let repr = repr_copy best.repr in
-        List.iter
-          (fun x -> if x != best then repr_union_into ~dst:repr x.repr)
-          uniq;
-        List.iter release uniq;
-        alloc_table eng repr
-      end
+  (* a candidate that subsumes all other inputs and already holds [add]
+     avoids an allocation (the paper's merge-only-when-necessary rule) *)
+  let best =
+    List.fold_left (fun acc x -> if x.card > acc.card then x else acc)
+      (List.hd uniq) (List.tl uniq)
+  in
+  let subsumes =
+    List.for_all (fun x -> x == best || repr_subset x.repr best.repr) uniq
+  in
+  let has_add = match add with None -> true | Some i -> repr_mem best.repr i in
+  if subsumes && has_add then begin
+    List.iter (fun x -> if x != best then release x) uniq;
+    best
+  end
+  else begin
+    let repr = repr_copy best.repr in
+    List.iter (fun x -> if x != best then repr_union_into ~dst:repr x.repr) uniq;
+    (match add with Some i when not has_add -> repr_add repr i | _ -> ());
+    let card = if subsumes then best.card + 1 else repr_cardinal repr in
+    List.iter release uniq;
+    alloc_table ~card eng repr
+  end
 
-let cardinal tbl = repr_cardinal tbl.repr
+let merge eng primary others = union_of eng primary others None
+let merge_add eng primary others i = union_of eng primary others (Some i)
+
+let cardinal tbl = tbl.card
 
 let elements tbl =
   let acc = ref [] in

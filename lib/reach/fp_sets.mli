@@ -1,15 +1,15 @@
-(** The [gp]/[cp] future-set engine (paper Sections 3.2 and 3.4).
+(** The [gp] future-set engine (paper Sections 3.2 and 3.4), also used
+    for MultiBags' per-future [cp] bitmaps.
 
-    - [cp(G)]: for each future [G], the set of its future ancestors.
-      Immutable once built; constructed at [create] by copying the
-      parent's table and adding the parent — [O(k)] work per future,
-      [O(k²)] total, exactly the paper's construction overhead.
     - [gp(v)]: for each strand [v], the set of futures [F] whose last node
       NSP-precedes [v]. Conceptually [gp(v) = ∪_{u→v} gp(u)]; tables are
       shared by pointer along serial chains and freshly merged only when
       each side holds a future the other lacks (plus one table per get
       node, which must add its gotten future's bit) — the paper argues
       this happens O(k) times.
+    - SF-Order does not build [cp(G)] here: future ancestry is an
+      interval test over {!Future_tree} spans. MultiBags keeps the
+      paper-baseline bitmap per future, built with {!with_added}.
 
     Tables are reference-counted for sharing, and immutable once
     published — additions copy — so a strand state's set never changes
@@ -61,7 +61,15 @@ val merge : t -> table -> table list -> table
     fresh table only when no input subsumes all the others (the paper's
     merge-only-when-necessary rule). *)
 
+val merge_add : t -> table -> table list -> int -> table
+(** [merge_add t primary others i] is [with_added t (merge t primary
+    others) i] with at most one allocation: a get's
+    [gp(cur) ∪ gp(last G) ∪ {G}]. Allocates only when no input subsumes
+    the others and holds [i]. *)
+
 val cardinal : table -> int
+(** O(1): fixed when the table is allocated. *)
+
 val elements : table -> int list
 
 (* -- statistics (Figure 5 / ablation) --------------------------------- *)

@@ -22,10 +22,8 @@ let create () =
 let spawn t ~cur ~block =
   Metrics.incr m_spawns;
   (* English: u < c < t.  Hebrew: u < t < c (< j). *)
-  let ce = Om.insert_after t.eng cur.e in
-  let te = Om.insert_after t.eng ce in
-  let th = Om.insert_after t.heb cur.h in
-  let ch = Om.insert_after t.heb th in
+  let ce, te = Om.insert_pair_after t.eng cur.e in
+  let th, ch = Om.insert_pair_after t.heb cur.h in
   let block =
     match block with
     | Some b -> b

@@ -72,13 +72,14 @@ let union_into ~dst src =
 let copy s = { words = Array.copy s.words }
 
 let subset a b =
-  let nb = Array.length b.words in
-  let ok = ref true in
-  Array.iteri
-    (fun i w ->
-      if w <> 0 && (i >= nb || w land lnot b.words.(i) <> 0) then ok := false)
-    a.words;
-  !ok
+  let wa = a.words and wb = b.words in
+  let na = Array.length wa and nb = Array.length wb in
+  let rec from i =
+    i >= na
+    || (let w = wa.(i) in
+        (w = 0 || (i < nb && w land lnot wb.(i) = 0)) && from (i + 1))
+  in
+  from 0
 
 let equal a b = subset a b && subset b a
 

@@ -1,10 +1,11 @@
 (** Growable bitsets over dense small-integer universes.
 
-    [gp(v)] and [cp(G)] in SF-Order are sets of future IDs. Future IDs are
-    dense small integers, so the paper represents these sets as arrays of
-    64-bit words with one bit per future (Section 4, "Implementation
-    Overview"). This module is that representation: a growable array of
-    OCaml native ints (63 usable bits per word). *)
+    [gp(v)] in SF-Order (and [cp(G)] in MultiBags) are sets of future
+    IDs. Future IDs are dense small integers, so the paper represents
+    these sets as arrays of 64-bit words with one bit per future
+    (Section 4, "Implementation Overview"). This module is that
+    representation: a growable array of OCaml native ints (63 usable bits
+    per word). *)
 
 type t
 
@@ -32,7 +33,8 @@ val union_into : dst:t -> t -> unit
 val copy : t -> t
 
 val subset : t -> t -> bool
-(** [subset a b] is whether [a ⊆ b]. *)
+(** [subset a b] is whether [a ⊆ b]; stops at the first word of [a]
+    holding a bit [b] lacks. *)
 
 val equal : t -> t -> bool
 

@@ -1,5 +1,5 @@
 (* Differential tests for the access history's swap-free paths and the
-   chunked cp store, against the independent oracles.
+   future-tree cp spans, against the independent oracles.
 
    The contract: under a serial execution SF-Order's outcome — race
    reports (location, kind, attributed futures, witness count),
@@ -194,11 +194,15 @@ let test_2pf_parallel ~chaos () =
           par.o_max_readers k)
     programs
 
-(* The cp container grows O(k) over k future creates: a chunk of 512
-   slots plus one spine copy every 512 creates. Container words are the
-   cp charges to reach.table.alloc_words beyond the set tables'. *)
-let test_cp_container_ablation () =
+(* cp costs O(1) words per future: a create inserts a two-item span into
+   the future tree and copies no set. On a depth-k create chain the
+   tree's list stays within c·k words, SF-Order charges nothing to
+   reach.table.alloc_words beyond its gp tables, and so allocates
+   strictly fewer table words than MultiBags, which keeps the paper's
+   cp bitmap per future on the same program. *)
+let test_cp_words_per_future () =
   let module P = Sfr_runtime.Program in
+  let module Future_tree = Sfr_reach.Future_tree in
   let rec create_nest k () =
     if k = 0 then 0
     else begin
@@ -208,18 +212,33 @@ let test_cp_container_ablation () =
     end
   in
   let k = 1500 in
-  let det = Sf_order.make () in
-  Serial_exec.run det.Detector.callbacks ~root:det.Detector.root (fun () ->
-      ignore (create_nest k ()))
-  |> fst;
+  let run make =
+    let det = make () in
+    Serial_exec.run det.Detector.callbacks ~root:det.Detector.root (fun () ->
+        ignore (create_nest k ()))
+    |> fst;
+    det
+  in
+  let sf = run (fun () -> Sf_order.make ()) in
+  (* metrics are process-wide: read sf-order's before multibags runs *)
   let alloc =
-    match List.assoc_opt "reach.table.alloc_words" (det.Detector.metrics ()) with
+    match List.assoc_opt "reach.table.alloc_words" (sf.Detector.metrics ()) with
     | Some w -> w
     | None -> Alcotest.fail "reach.table.alloc_words not in metrics"
   in
-  let container = alloc - det.Detector.reach_table_words () in
-  if container < 0 || container > (2 * k) + 1024 then
-    Alcotest.failf "cp container words %d for k=%d not O(k)" container k
+  let mb = run Sfr_detect.Multibags.make in
+  if alloc > sf.Detector.reach_table_words () then
+    Alcotest.failf "sf-order charged %d table words beyond its %d gp words" alloc
+      (sf.Detector.reach_table_words ());
+  let sf_t = sf.Detector.reach_table_words () and mb_t = mb.Detector.reach_table_words () in
+  if sf_t >= mb_t then
+    Alcotest.failf "sf-order table words %d not below multibags' %d" sf_t mb_t;
+  let tree, root = Future_tree.create () in
+  let rec chain p n = if n > 0 then chain (Future_tree.create_child tree p) (n - 1) in
+  chain root k;
+  let words = Future_tree.words tree in
+  if words > 16 * k then
+    Alcotest.failf "future tree words %d for k=%d above 16k" words k
 
 (* the write filter must actually absorb consecutive same-strand writes
    (the counter moving is what the scaling bench reports), while every
@@ -267,8 +286,8 @@ let () =
         ] );
       ( "ablation",
         [
-          Alcotest.test_case "cp container words" `Quick
-            test_cp_container_ablation;
+          Alcotest.test_case "cp words per future" `Quick
+            test_cp_words_per_future;
           Alcotest.test_case "write fastpath counter" `Quick
             test_write_fastpath_counter;
         ] );

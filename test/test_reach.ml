@@ -11,6 +11,8 @@ module Dag_algo = Sfr_dag.Dag_algo
 module Sp_order = Sfr_reach.Sp_order
 module Sp_bags = Sfr_reach.Sp_bags
 module Fp_sets = Sfr_reach.Fp_sets
+module Future_tree = Sfr_reach.Future_tree
+module Metrics = Sfr_obs.Metrics
 module Prng = Sfr_support.Prng
 
 let check = Alcotest.check
@@ -178,6 +180,30 @@ let test_fpsets_merge_duplicates backend () =
   let m = Fp_sets.with_added eng m 2 in
   check (Alcotest.list int) "extended" [ 1; 2 ] (Fp_sets.elements m);
   Fp_sets.release m
+
+(* a get's gp(cur) ∪ gp(last G) ∪ {G} costs at most one table *)
+let test_fpsets_merge_add backend () =
+  let eng = Fp_sets.create backend in
+  let a = Fp_sets.with_added eng (Fp_sets.empty eng) 1 in
+  let b = Fp_sets.with_added eng (Fp_sets.empty eng) 2 in
+  let before = Fp_sets.allocations eng in
+  let m = Fp_sets.merge_add eng a [ b ] 3 in
+  check int "union plus element: one allocation" (before + 1) (Fp_sets.allocations eng);
+  check (Alcotest.list int) "union plus element" [ 1; 2; 3 ] (Fp_sets.elements m);
+  check int "cached cardinal" 3 (Fp_sets.cardinal m);
+  let sub = Fp_sets.with_added eng (Fp_sets.empty eng) 2 in
+  let before = Fp_sets.allocations eng in
+  let m2 = Fp_sets.merge_add eng (Fp_sets.share m) [ sub ] 1 in
+  check bool "subsuming input holding the element is reused" true (m2 == m);
+  check int "no allocation" before (Fp_sets.allocations eng);
+  let m3 = Fp_sets.merge_add eng m2 [] 7 in
+  check int "single input lacking the element: one copy" (before + 1)
+    (Fp_sets.allocations eng);
+  check (Alcotest.list int) "copy extended" [ 1; 2; 3; 7 ] (Fp_sets.elements m3);
+  check (Alcotest.list int) "input unchanged" [ 1; 2; 3 ] (Fp_sets.elements m);
+  check int "cached cardinal after add" 4 (Fp_sets.cardinal m3);
+  Fp_sets.release m;
+  Fp_sets.release m3
 
 let test_fpsets_live_words backend () =
   let eng = Fp_sets.create backend in
@@ -386,6 +412,114 @@ let test_generator_nontrivial () =
   check bool "some gets happen" true (!gets > 30);
   check bool "some big programs" true (!biggest >= 40)
 
+(* ------------------------------------------------------------------ *)
+(* Future tree: cp(G) as nested order-maintenance spans                 *)
+(* ------------------------------------------------------------------ *)
+
+type fnode = { span : Future_tree.span; parent : fnode option }
+
+(* the definition: cp(G) = cp(parent) ∪ {parent} *)
+let rec naive_ancestor f g =
+  match g.parent with None -> false | Some p -> p == f || naive_ancestor f p
+
+(* Random creation trees of 2000-3000 futures. [chain] biases the parent
+   toward the newest future, so trees range from bushy (depth O(lg n),
+   many creates under one parent, which relabels around its [b]) to
+   near-chains (depth O(n)). Checks every (ancestor, node) pair on each
+   node's chain, plus random pairs. *)
+let prop_future_tree_matches_walk =
+  QCheck2.Test.make ~name:"future tree ancestry = parent-chain walk" ~count:12
+    QCheck2.Gen.(pair (int_bound 1_000_000) (int_bound 100))
+    (fun (seed, chain) ->
+      let rng = Prng.create seed in
+      let n = 2000 + Prng.int rng 1001 in
+      let tree, root_span = Future_tree.create () in
+      let nodes = Array.make n { span = root_span; parent = None } in
+      for i = 1 to n - 1 do
+        let p = if Prng.int rng 100 < chain then nodes.(i - 1) else nodes.(Prng.int rng i) in
+        nodes.(i) <- { span = Future_tree.create_child tree p.span; parent = Some p }
+      done;
+      let agrees f g =
+        Future_tree.is_ancestor tree f.span g.span = naive_ancestor f g
+      in
+      let fids = Array.for_all Fun.id (Array.mapi (fun i x -> x.span.Future_tree.fid = i) nodes) in
+      let rec chain_ok g = function
+        | None -> true
+        | Some p -> Future_tree.is_ancestor tree p.span g.span && chain_ok g p.parent
+      in
+      fids
+      && Array.for_all (fun g -> chain_ok g g.parent && agrees g g) nodes
+      && List.for_all
+           (fun _ -> agrees nodes.(Prng.int rng n) nodes.(Prng.int rng n))
+           (List.init 20_000 Fun.id))
+
+(* Two domains create futures while a third queries published ones.
+   Creates pile up under a handful of hot parents, so the list relabels
+   around their [b] items throughout; a query racing a relabel must retry
+   through the seqlock, never misorder. *)
+let test_future_tree_concurrent () =
+  let tree, root_span = Future_tree.create () in
+  let root = { span = root_span; parent = None } in
+  let per = 3000 in
+  let made = Array.init 2 (fun _ -> Array.make per root) in
+  let published = Array.init 2 (fun _ -> Atomic.make 0) in
+  let querying = Atomic.make false and creators_done = Atomic.make 0 in
+  let relabels = Metrics.counter "om.relabels" in
+  let relabels_before = Metrics.value relabels in
+  let creator d () =
+    let rng = Prng.create (17 + d) in
+    let mine = made.(d) in
+    while not (Atomic.get querying) do
+      Domain.cpu_relax ()
+    done;
+    for i = 0 to per - 1 do
+      let p =
+        if i < 4 || Prng.int rng 4 = 0 then root
+        else mine.(Prng.int rng (min i 4))
+      in
+      mine.(i) <- { span = Future_tree.create_child tree p.span; parent = Some p };
+      Atomic.set published.(d) (i + 1)
+    done;
+    Atomic.incr creators_done
+  in
+  let querier () =
+    let rng = Prng.create 99 in
+    let pick () =
+      let d = Prng.int rng 2 in
+      let k = Atomic.get published.(d) in
+      if k = 0 then root else made.(d).(Prng.int rng k)
+    in
+    let wrong = ref 0 and asked = ref 0 in
+    let ask () =
+      let f = pick () and g = pick () in
+      incr asked;
+      if Future_tree.is_ancestor tree f.span g.span <> naive_ancestor f g then incr wrong
+    in
+    Atomic.set querying true;
+    while Atomic.get creators_done < 2 do
+      ask ()
+    done;
+    for _ = 1 to 1000 do
+      ask ()
+    done;
+    (!asked, !wrong)
+  in
+  let q = Domain.spawn querier in
+  let cs = List.init 2 (fun d -> Domain.spawn (creator d)) in
+  List.iter Domain.join cs;
+  let asked, wrong = Domain.join q in
+  check int "no wrong answer" 0 wrong;
+  check bool "queries ran" true (asked > 1000);
+  check bool "the list relabeled while queried" true
+    (Metrics.value relabels > relabels_before);
+  let fids =
+    List.sort compare
+      (List.concat_map
+         (fun a -> Array.to_list (Array.map (fun x -> x.span.Future_tree.fid) a))
+         (Array.to_list made))
+  in
+  check (Alcotest.list int) "fids dense and unique" (List.init (2 * per) (fun i -> i + 1)) fids
+
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_sporder_matches_psp; prop_spbags_matches_psp ]
@@ -403,6 +537,7 @@ let fpsets_cases backend tag =
       (test_fpsets_merge_allocates backend);
     Alcotest.test_case (tag ^ ": merge duplicates") `Quick
       (test_fpsets_merge_duplicates backend);
+    Alcotest.test_case (tag ^ ": merge_add") `Quick (test_fpsets_merge_add backend);
     Alcotest.test_case (tag ^ ": live words") `Quick
       (test_fpsets_live_words backend);
   ]
@@ -441,6 +576,12 @@ let () =
         [
           Alcotest.test_case "spawn/sync" `Quick test_spbags_spawn_sync;
           Alcotest.test_case "nested" `Quick test_spbags_nested;
+        ] );
+      ( "future tree",
+        [
+          QCheck_alcotest.to_alcotest prop_future_tree_matches_walk;
+          Alcotest.test_case "concurrent creates vs queries" `Quick
+            test_future_tree_concurrent;
         ] );
       ( "fp_sets",
         fpsets_cases Fp_sets.Bitmap "bitmap" @ fpsets_cases Fp_sets.Hashed "hashed" );

@@ -2,7 +2,6 @@
    PRNG determinism, stats, and table rendering. *)
 
 module Bitset = Sfr_support.Bitset
-module Chunk_vec = Sfr_support.Chunk_vec
 module Union_find = Sfr_support.Union_find
 module Prng = Sfr_support.Prng
 module Stats = Sfr_support.Stats
@@ -133,6 +132,24 @@ let prop_bitset_subset =
       && Bitset.each_side_has_private_bit a b
          = (not (IntSet.subset ma mb) && not (IntSet.subset mb ma)))
 
+(* Operands sized independently (a capacity wider than the members
+   leaves trailing zero words), so [subset] meets every length pairing:
+   a longer than b with zeros or members past b's end, and the reverse. *)
+let prop_bitset_subset_lengths =
+  let side =
+    QCheck2.Gen.(pair (int_bound 400) (list_size (int_bound 12) (int_bound 300)))
+  in
+  QCheck2.Test.make ~name:"bitset subset equals the list model, unequal lengths"
+    ~count:500 (QCheck2.Gen.pair side side)
+    (fun ((cap_a, la), (cap_b, lb)) ->
+      let build cap l =
+        let s = Bitset.create ~capacity:cap () in
+        List.iter (Bitset.add s) l;
+        s
+      in
+      Bitset.subset (build cap_a la) (build cap_b lb)
+      = List.for_all (fun x -> List.mem x lb) la)
+
 (* SWAR popcount vs a bit-probing reference, across the whole word
    including the sign bit (the 63rd bit of an OCaml int). *)
 let popcount_ref x =
@@ -175,82 +192,6 @@ let prop_iter_model =
       let seen = ref [] in
       Bitset.iter (fun i -> seen := i :: !seen) s;
       List.rev !seen = IntSet.elements model)
-
-(* ------------------------------------------------------------------ *)
-(* Chunk_vec                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_chunk_vec_roundtrip () =
-  let v = Chunk_vec.create (-1) in
-  check int "empty length" 0 (Chunk_vec.length v);
-  (* cross several chunk boundaries (chunks are 512 slots) *)
-  for i = 0 to 1499 do
-    check int "push returns the index" i (Chunk_vec.push v (i * 3))
-  done;
-  check int "length" 1500 (Chunk_vec.length v);
-  for i = 0 to 1499 do
-    if Chunk_vec.get v i <> i * 3 then
-      Alcotest.failf "get %d = %d, expected %d" i (Chunk_vec.get v i) (i * 3)
-  done;
-  check int "chunk count is ceil(len/512)" 3 (Chunk_vec.chunk_allocs v)
-
-let test_chunk_vec_sharing () =
-  (* chunks are shared structurally between spine snapshots: growing the
-     spine must reuse the existing chunk arrays, never copy elements *)
-  let v = Chunk_vec.create (-1) in
-  for i = 0 to 511 do
-    ignore (Chunk_vec.push v i)
-  done;
-  let before = Chunk_vec.debug_chunks v in
-  ignore (Chunk_vec.push v 512);
-  (* crosses into chunk 1 *)
-  let after = Chunk_vec.debug_chunks v in
-  check int "one chunk before" 1 (Array.length before);
-  check int "two chunks after" 2 (Array.length after);
-  check bool "chunk 0 physically shared" true (before.(0) == after.(0));
-  for i = 0 to 1000 do
-    ignore (Chunk_vec.push v (513 + i))
-  done;
-  let later = Chunk_vec.debug_chunks v in
-  check bool "chunk 0 still shared" true (before.(0) == later.(0));
-  check bool "chunk 1 shared" true (after.(1) == later.(1))
-
-let test_chunk_vec_alloc_linear () =
-  (* container growth is O(n) words, not the O(n²) of per-push
-     copy-on-write snapshots: for n pushes, chunks account 512 words per
-     512 pushes and spine copies 1+2+...+ceil(n/512) *)
-  let hook_total = ref 0 in
-  let v = Chunk_vec.create ~on_alloc:(fun w -> hook_total := !hook_total + w) 0 in
-  let n = 8 * 512 in
-  for i = 0 to n - 1 do
-    ignore (Chunk_vec.push v i)
-  done;
-  let words = Chunk_vec.alloc_words v in
-  check int "on_alloc hook saw every allocation" words !hook_total;
-  check bool "linear in n" true (words < 2 * n);
-  (* the copy-on-write equivalent would be n*(n+1)/2 words *)
-  check bool "far below quadratic" true (words * 100 < n * (n + 1) / 2)
-
-let test_chunk_vec_parallel_push () =
-  let v = Chunk_vec.create (-1) in
-  let per_domain = 600 in
-  let ds =
-    List.init 3 (fun d ->
-        Domain.spawn (fun () ->
-            List.init per_domain (fun i -> Chunk_vec.push v ((d * per_domain) + i))))
-  in
-  let idxs = List.concat_map Domain.join ds in
-  check int "every push got a slot" (3 * per_domain) (Chunk_vec.length v);
-  (* indices are a permutation of 0..n-1 *)
-  let sorted = List.sort compare idxs in
-  check (Alcotest.list int) "indices dense and unique"
-    (List.init (3 * per_domain) Fun.id)
-    sorted;
-  (* every stored value is read back exactly once across all indices *)
-  let vals = List.sort compare (List.map (Chunk_vec.get v) idxs) in
-  check (Alcotest.list int) "values all present"
-    (List.init (3 * per_domain) Fun.id)
-    vals
 
 (* ------------------------------------------------------------------ *)
 (* Union-find                                                          *)
@@ -425,6 +366,7 @@ let qtests =
       prop_bitset_model;
       prop_bitset_union;
       prop_bitset_subset;
+      prop_bitset_subset_lengths;
       prop_popcount_model;
       prop_iter_model;
       prop_uf_model;
@@ -446,13 +388,6 @@ let () =
           Alcotest.test_case "elements sorted" `Quick test_bitset_elements;
           Alcotest.test_case "popcount boundaries" `Quick test_popcount_boundaries;
           Alcotest.test_case "iter word boundaries" `Quick test_iter_word_boundaries;
-        ] );
-      ( "chunk_vec",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_chunk_vec_roundtrip;
-          Alcotest.test_case "chunk sharing" `Quick test_chunk_vec_sharing;
-          Alcotest.test_case "linear allocation" `Quick test_chunk_vec_alloc_linear;
-          Alcotest.test_case "parallel push" `Quick test_chunk_vec_parallel_push;
         ] );
       ( "union_find",
         [ Alcotest.test_case "basic" `Quick test_uf_basic ] );
