@@ -52,7 +52,9 @@ replay-smoke:
 # Detectors with the `parallel` capability also run on 2 domains, which
 # puts the compare-and-set access history on real concurrency. Every
 # program then runs once with `--check-discipline`, which must verify
-# the structured-futures discipline.
+# the structured-futures discipline. Last, a racy 2-domain run dumps the
+# flight recorder, whose Chrome JSON must parse and hold the race's
+# `race.report` note.
 detector-smoke:
 	dune build bin/racedetect.exe
 	@set -e; \
@@ -81,7 +83,14 @@ detector-smoke:
 	  echo "$$out" | grep -qx "structured-futures discipline verified." \
 	    || { echo "detector-smoke: $$w: discipline not verified" >&2; exit 2; }; \
 	done; \
-	echo "detector-smoke: $$n registered detectors ran mm/tiny clean, $$p of them on 2 domains; 5 programs passed the discipline check"
+	flight=/tmp/detector_smoke_flight.json; \
+	echo "== mm -e parallel -j 2 --inject-race --flight-dump =="; \
+	dune exec bin/racedetect.exe -- run -w mm -s tiny -e parallel -j 2 \
+	  --inject-race --no-verify --flight-dump $$flight; \
+	python3 -c 'import json, sys; d = json.load(open(sys.argv[1])); sys.exit(0 if any(e.get("name") == "race.report" for e in d["traceEvents"]) else 1)' $$flight \
+	  || { echo "detector-smoke: flight dump lacks a race.report note" >&2; exit 2; }; \
+	rm -f $$flight; \
+	echo "detector-smoke: $$n registered detectors ran mm/tiny clean, $$p of them on 2 domains; 5 programs passed the discipline check; the flight dump holds the race"
 
 telemetry-smoke:
 	dune build bin/racedetect.exe bench/main.exe

@@ -101,7 +101,24 @@ let publish t cell prev next =
     true
   end
 
-let new_page t = Array.init page_size (fun _ -> Atomic.make t.empty)
+(* [Array.init] of more than 256 words allocates in the major heap, and
+   when its first element is young, [caml_make_vect] first runs a minor
+   collection, which stops the world while another domain runs: one per
+   page, and one per spine growth past 256 slots. [Array.concat] of
+   young chunks initializes its major-heap copy element by element and
+   forces nothing. *)
+let init_unforced n f =
+  let chunk = 256 in
+  if n <= chunk then Array.init n f
+  else
+    Array.concat
+      (List.init
+         ((n + chunk - 1) / chunk)
+         (fun c ->
+           let lo = c * chunk in
+           Array.init (min chunk (n - lo)) (fun i -> f (lo + i))))
+
+let new_page t = init_unforced page_size (fun _ -> Atomic.make t.empty)
 
 (* Make page [p] reachable. Inside the slack bound the spine extends
    over [p], at least doubling, so a monotone sweep costs O(log pages)
@@ -125,7 +142,7 @@ let grow t p =
           let n = max (hi - lo) (min (2 * len) cap) in
           let base = if p < s.base then hi - n else lo in
           let pages =
-            Array.init n (fun i ->
+            init_unforced n (fun i ->
                 let j = base + i - s.base in
                 if j >= 0 && j < len then s.pages.(j)
                 else

@@ -9,16 +9,31 @@ type entry = {
   seq : int;
 }
 
-(* One ring per Metrics-style domain slot. Entries are immutable records
-   written through an option array: a record store is one pointer write,
-   so a torn entry is impossible; a mod-128 slot collision can interleave
-   two domains' sequences, which a diagnostic buffer tolerates. *)
+(* One ring per Metrics-style domain slot, its cells preallocated on the
+   slot's first note as one array per field, each filled from an
+   immediate or a literal: a note is plain stores, no allocation. A
+   mod-128 slot collision can interleave two domains' sequences, and a
+   dump racing a note can read a half-written cell, which a diagnostic
+   buffer tolerates. *)
 let capacity = 512
 let nrings = 128
 
-type ring = { mutable seq : int; slots : entry option array }
+type cells = {
+  ts : int array;
+  names : string array;
+  kinds : kind array;
+  args : int array;
+  doms : int array;
+  seqs : int array;
+}
 
-let rings = Array.init nrings (fun _ -> { seq = 0; slots = Array.make capacity None })
+let no_cells = { ts = [||]; names = [||]; kinds = [||]; args = [||]; doms = [||]; seqs = [||] }
+let rings = Array.make nrings no_cells
+
+(* ring [i]'s next sequence number sits at [seq_next.(i * seq_stride)]:
+   16 words apart, so no two rings' counters share a cache line *)
+let seq_stride = 16
+let seq_next = Array.make (nrings * seq_stride) 0
 
 let on = Atomic.make true
 
@@ -26,34 +41,59 @@ let arm () = Atomic.set on true
 let disarm () = Atomic.set on false
 let armed () = Atomic.get on
 
+let cells_of i =
+  let c = rings.(i) in
+  if c != no_cells then c
+  else begin
+    let c =
+      {
+        ts = Array.make capacity 0;
+        names = Array.make capacity "";
+        kinds = Array.make capacity Instant;
+        args = Array.make capacity 0;
+        doms = Array.make capacity 0;
+        seqs = Array.make capacity 0;
+      }
+    in
+    rings.(i) <- c;
+    c
+  end
+
 let note ?(arg = 0) ?(kind = Instant) name =
   if Atomic.get on then begin
     let dom = (Domain.self () :> int) in
-    let r = rings.(dom land (nrings - 1)) in
-    let seq = r.seq in
-    r.seq <- seq + 1;
-    r.slots.(seq land (capacity - 1)) <-
-      Some { ts_ns = Prof.now_ns (); name; kind; arg; dom; seq }
+    let i = dom land (nrings - 1) in
+    let c = cells_of i in
+    let seq = seq_next.(i * seq_stride) in
+    seq_next.(i * seq_stride) <- seq + 1;
+    let j = seq land (capacity - 1) in
+    c.ts.(j) <- Prof.now_ns ();
+    c.names.(j) <- name;
+    c.kinds.(j) <- kind;
+    c.args.(j) <- arg;
+    c.doms.(j) <- dom;
+    c.seqs.(j) <- seq
   end
 
-let wrap ?arg name f =
-  note ?arg ~kind:Begin name;
-  Fun.protect ~finally:(fun () -> note ?arg ~kind:End name) f
-
-let clear () =
-  Array.iter
-    (fun r ->
-      r.seq <- 0;
-      Array.fill r.slots 0 capacity None)
-    rings
+let clear () = Array.fill seq_next 0 (Array.length seq_next) 0
 
 let entries () =
   let acc = ref [] in
-  Array.iter
-    (fun r ->
-      Array.iter
-        (function Some e -> acc := e :: !acc | None -> ())
-        r.slots)
+  Array.iteri
+    (fun i c ->
+      let n = min (Array.length c.ts) seq_next.(i * seq_stride) in
+      for j = 0 to n - 1 do
+        acc :=
+          {
+            ts_ns = c.ts.(j);
+            name = c.names.(j);
+            kind = c.kinds.(j);
+            arg = c.args.(j);
+            dom = c.doms.(j);
+            seq = c.seqs.(j);
+          }
+          :: !acc
+      done)
     rings;
   List.sort
     (fun a b ->

@@ -1,15 +1,34 @@
 (** Always-on flight recorder: per-domain ring buffers of recent
-    spans/instants, dumped post-mortem.
+    events, dumped post-mortem.
 
     {!Sfr_obs.Trace_event} answers "show me everything" and is off by
     default because unbounded buffering is not free. The flight recorder
     answers the complementary question — {e what was the process doing
     just before it went wrong?} — so it is {b armed by default} and
     bounded: each domain slot owns a fixed ring of the most recent
-    entries, overwritten in place. A disarmed or armed note costs one
-    atomic flag load plus (when armed) one clock read and two plain
-    stores into the caller's own ring; there is no lock and no shared
-    cache line on the record path.
+    entries, overwritten in place.
+
+    {b Cost.} A disarmed note is one atomic flag load. An armed note adds
+    one clock read and seven plain stores into the caller's own ring,
+    whose cells are preallocated on the slot's first note; it allocates
+    nothing (beyond the [Some] box of an [?arg] the caller passes) and
+    takes no lock, and each ring's sequence counter sits on its own cache
+    line. Notes are kept off the per-task and per-access paths, so the
+    recorder costs nothing measurable there.
+
+    {b Events recorded.}
+    - [run.start] (arg: workers) and [run.failure], once per parallel
+      executor run: the first task exception, before the crash dump, so
+      a crash window is never empty whatever the schedule;
+    - [steal] (arg: victim worker), per successful steal;
+    - [race.report] (arg: location), on the first witness of a location
+      by a domain slot of a race collector;
+    - [serve.session.open], [serve.session.finish] and
+      [serve.crash.session] (arg: session id) in the daemon;
+    - whatever else a caller notes (tests, tools).
+
+    A per-task or per-access trace is {!Sfr_obs.Trace_event}'s job, on
+    request.
 
     Rings are indexed by [Domain.self () land 127] like {!Metrics}
     slots: two domains colliding mod 128 can interleave (and lose)
@@ -41,10 +60,6 @@ val note : ?arg:int -> ?kind:kind -> string -> unit
 (** Record an entry into the calling domain's ring (default kind
     [Instant]). Name strings should be literals — the recorder stores
     the pointer, it never copies. *)
-
-val wrap : ?arg:int -> string -> (unit -> 'a) -> 'a
-(** [wrap name f] brackets [f] with [Begin]/[End] entries
-    (exception-safe); renders as a span pair in the Chrome dump. *)
 
 val entries : unit -> entry list
 (** Snapshot of every live ring entry, oldest first (sorted by

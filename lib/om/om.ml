@@ -18,9 +18,10 @@
      items in spirit (we use a fixed capacity, which keeps the practical
      bound and is what race-detector implementations do).
 
-   Concurrency: t.lock serializes mutations. Queries read labels without
-   the lock and validate against a seqlock version that relabeling bumps
-   (odd while labels are in flux). *)
+   Concurrency: t.lock serializes mutations (taken by [lock], which spins
+   before it blocks). Queries read labels without the lock and validate
+   against a seqlock version that relabeling bumps (odd while labels are
+   in flux). *)
 
 type group = {
   mutable glabel : int;
@@ -233,14 +234,30 @@ let split_group t (g : group) =
   relabel_group t g;
   relabel_group t ng
 
+(* Inserts hold the lock for well under a microsecond, and on 2 domains
+   the spawning strands of both contend for it on every spawn, create,
+   sync and get. A [Mutex.lock] that finds it taken enters a blocking
+   section and parks in the kernel. Spinning on [try_lock] first, with
+   [cpu_relax] (which also answers stop-the-world requests), waits out
+   the holder instead, and blocks only if the holder was descheduled. *)
+let lock t =
+  let rec spin n =
+    if n = 0 then Mutex.lock t.lock
+    else if not (Mutex.try_lock t.lock) then begin
+      Domain.cpu_relax ();
+      spin (n - 1)
+    end
+  in
+  spin 200
+
 let rec insert_after t (x : item) =
-  Mutex.lock t.lock;
+  lock t;
   let result = insert_after_locked t x in
   Mutex.unlock t.lock;
   result
 
 and insert_pair_after t (x : item) =
-  Mutex.lock t.lock;
+  lock t;
   let y = insert_after_locked t x in
   let z = insert_after_locked t y in
   Mutex.unlock t.lock;

@@ -93,21 +93,28 @@ type wstat = {
   mutable p_idle_spins : int;
 }
 
+(* A frame joins its spawned children with one counter, Cilk style: the
+   running strand holds one token and each spawn adds one. A returning
+   child pushes its last state onto [spawned_lasts] and gives its token
+   back; the strand gives its own back at a sync, after parking the
+   sync's continuation. Whoever takes the count to zero runs the parked
+   sync, which restores the strand's token. Only the frame's own strand
+   touches [created_firsts] and [pending_sync]; the counter's atomic
+   update orders those writes before the parked sync reads them on
+   another domain. *)
 type frame = {
-  fmu : Mutex.t;
-  mutable outstanding : int; (* spawned children not yet returned *)
-  mutable spawned_lasts : Events.state list;
+  join : int Atomic.t;
+  spawned_lasts : Events.state list Atomic.t;
   mutable created_firsts : Events.state list;
-  mutable pending_sync : task option;
+  mutable pending_sync : task;
 }
 
 let new_frame () =
   {
-    fmu = Mutex.create ();
-    outstanding = 0;
-    spawned_lasts = [];
+    join = Atomic.make 1;
+    spawned_lasts = Atomic.make [];
     created_firsts = [];
-    pending_sync = None;
+    pending_sync = Deque.nop;
   }
 
 (* Domain-local worker identity and current strand state. *)
@@ -192,7 +199,8 @@ let probe_metrics () =
    task fails the whole run instead of wedging it. *)
 let record_failure sched e =
   let bt = Printexc.get_raw_backtrace () in
-  ignore (Atomic.compare_and_set sched.failure None (Some (e, bt)))
+  if Atomic.compare_and_set sched.failure None (Some (e, bt)) then
+    Flight.note "run.failure"
 
 let push_task sched t =
   let w = Domain.DLS.get worker_key in
@@ -201,29 +209,21 @@ let push_task sched t =
   Deque.push_bottom sched.deques.(w) t
 
 (* A spawned child finished: deliver its last state to the parent frame
-   and wake a parked sync if this was the last outstanding child. *)
-let child_returned_to sched frame child_last =
-  Mutex.lock frame.fmu;
-  frame.spawned_lasts <- child_last :: frame.spawned_lasts;
-  frame.outstanding <- frame.outstanding - 1;
-  let wake =
-    if frame.outstanding = 0 then begin
-      let w = frame.pending_sync in
-      frame.pending_sync <- None;
-      w
-    end
-    else None
-  in
-  Mutex.unlock frame.fmu;
-  match wake with Some go -> push_task sched go | None -> ()
+   and give back its token; the last token returned runs a parked sync. *)
+let rec push_last l x =
+  let xs = Atomic.get l in
+  if not (Atomic.compare_and_set l xs (x :: xs)) then push_last l x
 
-(* Emit the on_sync event for this frame if there is anything to join. *)
+let child_returned_to sched frame child_last =
+  push_last frame.spawned_lasts child_last;
+  if Atomic.fetch_and_add frame.join (-1) = 1 then push_task sched frame.pending_sync
+
+(* Emit the on_sync event for this frame if there is anything to join.
+   Every child has returned, so nothing else touches the frame. *)
 let emit_sync sched frame ~pre_state =
-  Mutex.lock frame.fmu;
-  let sp = frame.spawned_lasts and crf = frame.created_firsts in
-  frame.spawned_lasts <- [];
+  let sp = Atomic.get frame.spawned_lasts and crf = frame.created_firsts in
+  Atomic.set frame.spawned_lasts [];
   frame.created_firsts <- [];
-  Mutex.unlock frame.fmu;
   if sp <> [] || crf <> [] then
     set_cur
       (sched.cb.Events.on_sync ~cur:pre_state ~spawned_lasts:sp
@@ -249,9 +249,7 @@ let rec exec_frame sched (body : frame -> unit) =
                   Chaos.point Chaos.Spawn;
                   Metrics.incr m_spawns;
                   let child_state, cont_state = sched.cb.Events.on_spawn (get_cur ()) in
-                  Mutex.lock frame.fmu;
-                  frame.outstanding <- frame.outstanding + 1;
-                  Mutex.unlock frame.fmu;
+                  Atomic.incr frame.join;
                   push_task sched (fun () ->
                       set_cur child_state;
                       exec_frame sched (fun _child_frame ->
@@ -268,12 +266,9 @@ let rec exec_frame sched (body : frame -> unit) =
                   Chaos.point Chaos.Create;
                   Metrics.incr m_creates;
                   Trace_event.instant ~cat:"runtime" "create";
-                  Flight.note "create";
                   let h = Program.Handle.make () in
                   let child_state, cont_state = sched.cb.Events.on_create (get_cur ()) in
-                  Mutex.lock frame.fmu;
                   frame.created_firsts <- child_state :: frame.created_firsts;
-                  Mutex.unlock frame.fmu;
                   push_task sched (fun () ->
                       set_cur child_state;
                       exec_frame sched (fun _child_frame ->
@@ -291,20 +286,21 @@ let rec exec_frame sched (body : frame -> unit) =
                 (fun (k : (b, _) Effect.Deep.continuation) ->
                   Chaos.point Chaos.Sync;
                   let pre_state = get_cur () in
-                  Mutex.lock frame.fmu;
-                  if frame.outstanding = 0 then begin
-                    Mutex.unlock frame.fmu;
+                  (* a count of 1 is the strand's own token: no child is
+                     outstanding, and only this strand can add one *)
+                  if Atomic.get frame.join = 1 then begin
                     emit_sync sched frame ~pre_state;
                     Effect.Deep.continue k ()
                   end
                   else begin
                     frame.pending_sync <-
-                      Some
-                        (fun () ->
-                          emit_sync sched frame ~pre_state;
-                          Effect.Deep.continue k ());
-                    Mutex.unlock frame.fmu
-                    (* abandon: the worker returns to its scheduler loop *)
+                      (fun () ->
+                        Atomic.set frame.join 1;
+                        emit_sync sched frame ~pre_state;
+                        Effect.Deep.continue k ());
+                    if Atomic.fetch_and_add frame.join (-1) = 1 then frame.pending_sync ()
+                    (* else abandon: the worker returns to its scheduler loop,
+                       and the last returning child pushes the parked sync *)
                   end)
           | Program.Get h ->
               Some
@@ -312,7 +308,6 @@ let rec exec_frame sched (body : frame -> unit) =
                   Chaos.point Chaos.Get;
                   Metrics.incr m_gets;
                   Trace_event.instant ~cat:"runtime" "get";
-                  Flight.note "get";
                   Program.Handle.claim_touch h;
                   let saved = get_cur () in
                   let resume () =
@@ -395,8 +390,7 @@ let worker_loop sched me =
           if Telemetry.armed () then st.p_tasks <- st.p_tasks + 1;
           (try
              Chaos.point Chaos.Task;
-             Flight.wrap "task" (fun () ->
-                 Trace_event.with_span ~cat:"runtime" "task" t)
+             Trace_event.with_span ~cat:"runtime" "task" t
            with e -> record_failure sched e);
           if Atomic.fetch_and_add sched.live (-1) = 1 then
             Atomic.set sched.quiescent true
@@ -432,6 +426,9 @@ let run ?workers cb ~root main =
     }
   in
   Atomic.set live_sched (Some sched);
+  (* with the run-start and first-failure notes, a crash window is never
+     empty, whatever the schedule *)
+  Flight.note ~arg:nw "run.start";
   let result = ref None in
   let final = ref root in
   (* the root task *)

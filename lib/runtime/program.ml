@@ -1,13 +1,13 @@
 exception Unstructured_use of string
 
-type 'a handle = {
-  mutable result : 'a option;
-  mutable last : Events.state option;
-  mutable fulfilled : bool;
-  mutable touched : bool;
-  mutable waiters : (unit -> unit) list;
-  mu : Mutex.t;
-}
+(* A handle's fulfilled/waiters state and its touched flag are atomics
+   updated by compare-and-set: no lock, and nothing with a finalizer, per
+   future. *)
+type 'a handle = { state : 'a fill Atomic.t; touched : bool Atomic.t }
+
+and 'a fill =
+  | Waiting of (unit -> unit) list  (** newest waiter first *)
+  | Fulfilled of 'a * Events.state  (** result and put-node state *)
 
 type _ Effect.t +=
   | Spawn : (unit -> unit) -> unit Effect.t
@@ -54,65 +54,35 @@ let wr_raw a i x = a.data.(i) <- x
 module Handle = struct
   type status = Running | Done
 
-  let make () =
-    {
-      result = None;
-      last = None;
-      fulfilled = false;
-      touched = false;
-      waiters = [];
-      mu = Mutex.create ();
-    }
+  let make () = { state = Atomic.make (Waiting []); touched = Atomic.make false }
 
-  let fulfil h x ~last =
-    Mutex.lock h.mu;
-    if h.fulfilled then begin
-      Mutex.unlock h.mu;
-      invalid_arg "Handle.fulfil: already fulfilled"
-    end
-    else begin
-      h.result <- Some x;
-      h.last <- Some last;
-      h.fulfilled <- true;
-      let ws = h.waiters in
-      h.waiters <- [];
-      Mutex.unlock h.mu;
-      List.iter (fun w -> w ()) (List.rev ws)
-    end
+  let rec fulfil h x ~last =
+    match Atomic.get h.state with
+    | Fulfilled _ -> invalid_arg "Handle.fulfil: already fulfilled"
+    | Waiting ws as prev ->
+        if Atomic.compare_and_set h.state prev (Fulfilled (x, last)) then
+          List.iter (fun w -> w ()) (List.rev ws)
+        else fulfil h x ~last
 
-  let status h =
-    Mutex.lock h.mu;
-    let s = if h.fulfilled then Done else Running in
-    Mutex.unlock h.mu;
-    s
+  let status h = match Atomic.get h.state with Waiting _ -> Running | Fulfilled _ -> Done
 
   let result_exn h =
-    match h.result with
-    | Some x -> x
-    | None -> invalid_arg "Handle.result_exn: not fulfilled"
+    match Atomic.get h.state with
+    | Fulfilled (x, _) -> x
+    | Waiting _ -> invalid_arg "Handle.result_exn: not fulfilled"
 
   let last_exn h =
-    match h.last with
-    | Some s -> s
-    | None -> invalid_arg "Handle.last_exn: not fulfilled"
+    match Atomic.get h.state with
+    | Fulfilled (_, s) -> s
+    | Waiting _ -> invalid_arg "Handle.last_exn: not fulfilled"
 
   let claim_touch h =
-    Mutex.lock h.mu;
-    let again = h.touched in
-    h.touched <- true;
-    Mutex.unlock h.mu;
-    if again then
+    if not (Atomic.compare_and_set h.touched false true) then
       raise (Unstructured_use "get invoked twice on the same future handle")
 
-  let add_waiter h w =
-    Mutex.lock h.mu;
-    if h.fulfilled then begin
-      Mutex.unlock h.mu;
-      false
-    end
-    else begin
-      h.waiters <- w :: h.waiters;
-      Mutex.unlock h.mu;
-      true
-    end
+  let rec add_waiter h w =
+    match Atomic.get h.state with
+    | Fulfilled _ -> false
+    | Waiting ws as prev ->
+        Atomic.compare_and_set h.state prev (Waiting (w :: ws)) || add_waiter h w
 end

@@ -1,6 +1,5 @@
 module Metrics = Sfr_obs.Metrics
 module Trace_event = Sfr_obs.Trace_event
-module Flight = Sfr_obs.Flight
 module Chaos = Sfr_chaos.Chaos
 
 let m_spawns = Metrics.counter "runtime.spawns"
@@ -59,7 +58,6 @@ let run (cb : Events.callbacks) ~root main =
                     (fun (k : (b, _) Effect.Deep.continuation) ->
                       Chaos.point Chaos.Create;
                       Metrics.incr m_creates;
-                      Flight.note "create";
                       let h = Program.Handle.make () in
                       let child_state, cont_state = cb.on_create !cur in
                       fr.created_firsts <- child_state :: fr.created_firsts;
@@ -81,7 +79,6 @@ let run (cb : Events.callbacks) ~root main =
                       Chaos.point Chaos.Get;
                       Metrics.incr m_gets;
                       Trace_event.instant ~cat:"runtime" "get";
-                      Flight.note "get";
                       (match Program.Handle.status h with
                       | Program.Handle.Done -> ()
                       | Program.Handle.Running ->

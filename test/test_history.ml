@@ -174,6 +174,45 @@ let test_race_collector_concurrent () =
   check int "all witnessed" 1000 (Race.total_witnessed t);
   check int "ten locations" 10 (List.length (Race.racy_locations t))
 
+(* Four domains report into one collector over overlapping locations,
+   each into its own slot table. The merged view counts every report,
+   finds exactly the reported locations, and takes each location's kind
+   and futures from a report actually made there. *)
+let test_race_collector_merge () =
+  let t = Race.create () in
+  let n = 2000 in
+  let kinds = [| Race.Read_write; Race.Write_write; Race.Write_read |] in
+  let loc d i = i * (d + 1) mod 37 in
+  let made d i = (kinds.((d + i) mod 3), d, i) in
+  let domains =
+    List.init 4 (fun d ->
+        Domain.spawn (fun () ->
+            for i = 0 to n - 1 do
+              let kind, prev_future, cur_future = made d i in
+              Race.report t ~loc:(loc d i) ~kind ~prev_future ~cur_future
+            done))
+  in
+  List.iter Domain.join domains;
+  let expected = Hashtbl.create 64 in
+  for d = 0 to 3 do
+    for i = 0 to n - 1 do
+      let l = loc d i in
+      Hashtbl.replace expected l (made d i :: Option.value ~default:[] (Hashtbl.find_opt expected l))
+    done
+  done;
+  let locs = List.sort compare (Hashtbl.fold (fun l _ acc -> l :: acc) expected []) in
+  check (Alcotest.list int) "racy set" locs (Race.racy_locations t);
+  check int "total witnessed" (4 * n) (Race.total_witnessed t);
+  List.iter
+    (fun (r : Race.report) ->
+      let here = Hashtbl.find expected r.Race.loc in
+      check int (Printf.sprintf "loc %d count" r.Race.loc) (List.length here) r.Race.count;
+      check bool
+        (Printf.sprintf "loc %d kind and futures were reported there" r.Race.loc)
+        true
+        (List.mem (r.Race.kind, r.Race.prev_future, r.Race.cur_future) here))
+    (Race.reports t)
+
 (* ------------------------------------------------------------------ *)
 (* Exit maps                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -300,6 +339,7 @@ let () =
         [
           Alcotest.test_case "dedup and counts" `Quick test_race_collector;
           Alcotest.test_case "concurrent reports" `Quick test_race_collector_concurrent;
+          Alcotest.test_case "per-domain merge" `Quick test_race_collector_merge;
         ] );
       ( "exit_map",
         [

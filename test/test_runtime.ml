@@ -237,6 +237,94 @@ let test_par_future_exception_no_deadlock () =
              Program.work 10;
              ignore (Program.get h))))
 
+(* Nested 64-way fan-outs: 64 futures each join a 64-way spawn before
+   returning, and 64 spawned siblings each get one of them, usually
+   fulfilled on another worker. Eight siblings also write one shared
+   cell, so the racy set is that cell. On 4 workers the result and the
+   racy set (relative to the program's first allocation) must equal the
+   serial executor's, run after run. *)
+let wide_fan_program base () =
+  let width = 64 in
+  let data = Program.alloc (width * width) 0 in
+  let out = Program.alloc width 0 in
+  let shared = Program.alloc 1 0 in
+  base := Program.base data;
+  let fill i =
+    for j = 0 to width - 1 do
+      Program.spawn (fun () -> Program.wr data ((i * width) + j) ((i * j) mod 7))
+    done;
+    Program.sync ();
+    let s = ref 0 in
+    for j = 0 to width - 1 do
+      s := !s + Program.rd data ((i * width) + j)
+    done;
+    !s
+  in
+  let futures = Array.init width (fun i -> Program.create (fun () -> fill i)) in
+  for i = 0 to width - 1 do
+    Program.spawn (fun () ->
+        Program.wr out i (Program.get futures.(i));
+        if i mod 8 = 0 then Program.wr shared 0 i)
+  done;
+  Program.sync ();
+  let s = ref 0 in
+  for i = 0 to width - 1 do
+    s := !s + Program.rd out i
+  done;
+  !s
+
+let test_par_wide_fan_matches_serial () =
+  let module Detector = Sfr_detect.Detector in
+  let run exec =
+    let det = Sfr_detect.Sf_order.make () in
+    let base = ref 0 in
+    let r = exec det (wide_fan_program base) in
+    (r, List.map (fun l -> l - !base) (Detector.racy_locations det))
+  in
+  let serial_r, serial_racy =
+    run (fun det prog -> fst (Serial_exec.run det.Detector.callbacks ~root:det.Detector.root prog))
+  in
+  check int "one racy cell" 1 (List.length serial_racy);
+  for _ = 1 to 5 do
+    let r, racy =
+      run (fun det prog ->
+          fst (Par_exec.run ~workers:4 det.Detector.callbacks ~root:det.Detector.root prog))
+    in
+    check int "result" serial_r r;
+    check (Alcotest.list int) "racy set" serial_racy racy
+  done
+
+(* Two concurrently running siblings get one handle: exactly one get
+   claims it, and the other raises. *)
+let test_par_concurrent_double_get () =
+  Alcotest.check_raises "double get on 4 workers"
+    (Program.Unstructured_use "get invoked twice on the same future handle")
+    (fun () ->
+      ignore
+        (run_par_traced ~workers:4 (fun () ->
+             let h = Program.create (fun () -> fib 6) in
+             for _ = 1 to 2 do
+               Program.spawn (fun () ->
+                   Program.work 20;
+                   ignore (Program.get h))
+             done;
+             Program.sync ())))
+
+(* One child of a 64-way fan-out waits on a handle nothing will fulfil:
+   the parked sync can never run, and the run must raise at quiescence
+   instead of hanging. *)
+let test_par_deadlock_raises () =
+  let never = Program.Handle.make () in
+  match
+    run_par_traced ~workers:4 (fun () ->
+        for i = 0 to 63 do
+          Program.spawn (fun () -> if i = 17 then Program.get never else Program.work 5)
+        done;
+        Program.sync ())
+  with
+  | _ -> Alcotest.fail "a deadlocked run returned"
+  | exception Program.Unstructured_use _ -> ()
+
 (* ------------------------------------------------------------------ *)
 (* Deque model check                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -358,6 +446,9 @@ let () =
             test_par_nested_exception_no_deadlock;
           Alcotest.test_case "future exception no deadlock" `Quick
             test_par_future_exception_no_deadlock;
+          Alcotest.test_case "wide fan matches serial" `Quick test_par_wide_fan_matches_serial;
+          Alcotest.test_case "concurrent double get" `Quick test_par_concurrent_double_get;
+          Alcotest.test_case "deadlock raises" `Quick test_par_deadlock_raises;
         ] );
       ("deque", [ Alcotest.test_case "vs list model" `Quick test_deque_vs_model ]);
       ("properties", qtests);

@@ -232,6 +232,22 @@ let test_history_far_apart_parallel () =
     done
   done
 
+(* Installing a page, or growing the spine past 256 slots, must not force
+   a minor collection: while another domain runs, each one stops the
+   world. 64 pages eight apart grow the spine to over 500 slots; building
+   them with [Array.init] forces at least one collection per page. *)
+let test_history_pages_force_no_minor_gc () =
+  let h = Access_history.create Access_history.Keep_all in
+  let minors () = (Gc.quick_stat ()).Gc.minor_collections in
+  let before = minors () in
+  for p = 0 to 63 do
+    let loc = p * 8 * 512 in
+    Access_history.on_write h ~loc ~accessor:loc ~check:(fun ~prev:_ ~prev_is_writer:_ -> ())
+  done;
+  let forced = minors () - before in
+  check int "locations tracked" 64 (Access_history.locations_tracked h);
+  if forced > 2 then Alcotest.failf "64 pages ran %d minor collections" forced
+
 (* Memory follows the locations touched, whatever order they arrive in.
    A sweep from high to low addresses once grew a directory that doubled
    on every downward step; checking every 1024 locations catches such
@@ -316,6 +332,7 @@ let () =
           Alcotest.test_case "far-apart locations" `Quick test_history_far_apart;
           Alcotest.test_case "far-apart parallel" `Quick test_history_far_apart_parallel;
           Alcotest.test_case "growth follows touched" `Quick test_history_growth_follows_touched;
+          Alcotest.test_case "pages force no minor GC" `Quick test_history_pages_force_no_minor_gc;
           Alcotest.test_case "sort/default words" `Quick test_history_words_sort_default;
         ] );
       ( "support",
